@@ -57,7 +57,7 @@ def main() -> int:
 
     ev = step(outdir, "eval", ["eval", "--model", model, "--synthetic", "digits",
                                "--synthetic-n", n_eval, "--seed", "1"])
-    show(ev / "eval_metrics.json", ("accuracy", "n"))
+    show(ev / "eval_metrics.json", ("accuracy", "samples"))
 
     sw = step(outdir, "sweep", ["replace-sweep", "--model", model, "--synthetic",
                                 "--synthetic-n", n_eval, "--sample", n_sweep,

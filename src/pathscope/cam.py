@@ -240,9 +240,12 @@ def _tile_means(sal: np.ndarray, tile_hw: tuple[int, int]) -> np.ndarray:
                      for r in (0, 1) for c in (0, 1)])
 
 
-def _tilematch_one(sample: TiledSample, *, weights, spec, variant, clip, seed):
+def _tilematch_one(item, *, weights, spec, variant, clip):
     """Per-composite worker: for each constituent label as CAM target, the
-    tile with maximal mean saliency, or -1 on a tie."""
+    tile with maximal mean saliency, or -1 on a tie. Random saliency is
+    seeded by (composite index, tile), so each composite gets its own noise
+    and every pass over the same composites scores the same maps."""
+    i, sample = item
     trace = forward(weights, spec, sample.image)
     inferred = []
     for t in range(4):
@@ -250,7 +253,7 @@ def _tilematch_one(sample: TiledSample, *, weights, spec, variant, clip, seed):
         if variant in CAM_VARIANTS:
             sal = _cam_from_trace(weights, spec, trace, target, variant, clip)
         else:
-            rng = np.random.default_rng((seed, t)) if variant == "random" else None
+            rng = np.random.default_rng((i, t)) if variant == "random" else None
             sal = saliency_map(weights, spec, sample.image, target, variant, clip, rng)
         means = _tile_means(sal, sample.tile_hw)
         best = float(means.max())
@@ -275,8 +278,8 @@ def target_matching_accuracy(
     if not tiled:
         raise ArgumentError("no tiled samples given")
     worker = functools.partial(_tilematch_one, weights=weights, spec=spec,
-                               variant=variant, clip=clip, seed=target_shuffle_seed or 0)
-    results = pmap(worker, tiled, workers=workers)
+                               variant=variant, clip=clip)
+    results = pmap(worker, list(enumerate(tiled)), workers=workers)
     shuffle_rng = (np.random.default_rng(target_shuffle_seed)
                    if target_shuffle_seed is not None else None)
     correct = 0

@@ -21,22 +21,14 @@ import numpy as np
 from . import cam as cam_mod
 from . import correlation, data, replacement, reports
 from .data import load_idx, mean_pixel, subsample, synthetic_blobs, synthetic_digits
-from .errors import (
-    ArgumentError,
-    FormatError,
-    NumericalError,
-    PathscopeError,
-    ShapeError,
-    SizeError,
-    SpecError,
-    UndefinedCorrelationError,
-)
+from .errors import ArgumentError, NumericalError, PathscopeError, UndefinedCorrelationError
 from .model import (
     build_model,
     desk_spec,
     desk_train_config,
     evaluate_accuracy,
     forward,
+    layer_index,
     layer_names,
     load_model,
     model_digest,
@@ -208,6 +200,8 @@ def _merge_config(command: str, flags: dict) -> dict:
     if config_path:
         cfg.update(_parse_config_file(config_path, cfg))
     cfg.update(flags)
+    if cfg.get("workers", 1) < 1:
+        raise ArgumentError(f"--workers must be >= 1, got {cfg['workers']}")
     return cfg
 
 
@@ -319,8 +313,7 @@ def cmd_pathcount(cfg: dict) -> int:
     names = layer_names(spec)
     layers = names if cfg.get("layer") is None else [cfg["layer"]]
     for layer in layers:
-        if layer not in names:
-            raise ArgumentError(f"no layer named {layer!r}; known: {', '.join(names)}")
+        layer_index(names, layer)
     trace = forward(weights, spec, x)
     counts = pathcount_forward(weights, spec, trace, _clip(cfg))
     out = _outdir(cfg, "pathcount")
@@ -471,13 +464,7 @@ def main(argv=None) -> int:
     except (NumericalError, UndefinedCorrelationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (FormatError, ArgumentError, ShapeError, SpecError, SizeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except PathscopeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (PathscopeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

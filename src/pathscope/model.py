@@ -157,11 +157,15 @@ def layer_names(spec: ModelSpec) -> list[str]:
     return [r.name for r in resolve(spec)]
 
 
+def layer_index(names: list[str], name: str) -> int:
+    """Position of `name` in `names`; ArgumentError listing the known names otherwise."""
+    if name not in names:
+        raise ArgumentError(f"no layer named {name!r}; known: {', '.join(names)}")
+    return names.index(name)
+
+
 def layer_output_shape(spec: ModelSpec, name: str) -> tuple[int, ...]:
-    for r in resolve(spec):
-        if r.name == name:
-            return r.out_shape
-    raise ArgumentError(f"no layer named {name!r}; known: {', '.join(layer_names(spec))}")
+    return resolve(spec)[layer_index(layer_names(spec), name)].out_shape
 
 
 def _param_shape(r: ResolvedLayer) -> tuple[int, ...] | None:
@@ -208,33 +212,51 @@ class ForwardTrace:
         return self.outputs[self.names[-1]]
 
     def output(self, name: str) -> np.ndarray:
-        if name not in self.outputs:
-            raise ArgumentError(f"no layer named {name!r}; known: {', '.join(self.names)}")
+        layer_index(self.names, name)
         return self.outputs[name]
 
     def pre_activation(self, name: str) -> np.ndarray:
         """The tensor that fed the named layer (the previous layer's output)."""
-        i = self.names.index(name) if name in self.outputs else -1
-        if i < 0:
-            raise ArgumentError(f"no layer named {name!r}; known: {', '.join(self.names)}")
+        i = layer_index(self.names, name)
         return self.input if i == 0 else self.outputs[self.names[i - 1]]
 
 
-def _apply_layer(r: ResolvedLayer, weights: dict[str, np.ndarray], x: np.ndarray):
-    """Single-sample inference step; returns (output, routing-or-None)."""
+def _layer_forward(r: ResolvedLayer, weights, x, train=False, drop_rng=None):
+    """One layer on a batch; returns (output, aux), aux being the pool
+    routing, the dropout mask, or None."""
     s = r.spec
     if s.kind == "conv":
-        return ops.conv2d_forward(x, weights[r.name], s.stride, s.padding), None
+        return ops.conv2d_forward_batch(x, weights[r.name], s.stride, s.padding), None
     if s.kind == "relu":
         return ops.relu_forward(x), None
     if s.kind == "maxpool":
-        y, routing = ops.maxpool_forward(x, s.window, s.stride)
-        return y, routing
+        return ops.maxpool_forward_batch(x, s.window, s.stride)
     if s.kind == "dropout":
+        if train and s.rate > 0.0:
+            mask = (drop_rng.random(x.shape) >= s.rate).astype(x.dtype)
+            mask /= np.float32(1.0 - s.rate)
+            return x * mask, mask
         return x, None
     if s.kind == "flatten":
-        return x.reshape(-1), None
-    return ops.fc_forward(x, weights[r.name]), None
+        return x.reshape(x.shape[0], -1), None
+    return ops.fc_forward_batch(x, weights[r.name]), None
+
+
+def _layer_backward(r: ResolvedLayer, weights, x_in, aux, g):
+    """Reverse of _layer_forward for upstream grad `g`; returns
+    (grad wrt x_in, weight grad summed over the batch or None)."""
+    s = r.spec
+    if s.kind == "conv":
+        return ops.conv2d_backward_batch(x_in, weights[r.name], s.stride, s.padding, g)
+    if s.kind == "relu":
+        return ops.relu_backward(x_in, g), None
+    if s.kind == "maxpool":
+        return ops.maxpool_backward_batch(x_in.shape, aux, g), None
+    if s.kind == "dropout":
+        return (g if aux is None else g * aux), None
+    if s.kind == "flatten":
+        return g.reshape(x_in.shape), None
+    return ops.fc_backward_batch(x_in, weights[r.name], g)
 
 
 def forward(weights: dict[str, np.ndarray], spec: ModelSpec, x: np.ndarray) -> ForwardTrace:
@@ -245,12 +267,12 @@ def forward(weights: dict[str, np.ndarray], spec: ModelSpec, x: np.ndarray) -> F
     if tuple(x.shape) != spec.input_shape:
         raise ShapeError(f"input shape {x.shape} does not match spec {spec.input_shape}")
     trace = ForwardTrace(input=x, names=[r.name for r in resolved], outputs={})
-    cur = x
+    cur = x[None]
     for r in resolved:
-        cur, routing = _apply_layer(r, weights, cur)
-        trace.outputs[r.name] = cur
+        cur, routing = _layer_forward(r, weights, cur)
+        trace.outputs[r.name] = cur[0]
         if routing is not None:
-            trace.routings[r.name] = routing
+            trace.routings[r.name] = routing[0]
     return trace
 
 
@@ -259,16 +281,14 @@ def forward_from_layer(
 ) -> np.ndarray:
     """Resume inference just after `layer`, using `activation` as its output."""
     resolved = resolve(spec)
-    names = [r.name for r in resolved]
-    if layer not in names:
-        raise ArgumentError(f"no layer named {layer!r}; known: {', '.join(names)}")
-    i = names.index(layer)
+    i = layer_index(layer_names(spec), layer)
     cur = np.asarray(activation)
     if tuple(cur.shape) != resolved[i].out_shape:
         raise ShapeError(f"activation shape {cur.shape} != {layer} output {resolved[i].out_shape}")
+    cur = cur[None]
     for r in resolved[i + 1:]:
-        cur, _ = _apply_layer(r, weights, cur)
-    return cur
+        cur, _ = _layer_forward(r, weights, cur)
+    return cur[0]
 
 
 def gradient_wrt_layer(
@@ -280,30 +300,16 @@ def gradient_wrt_layer(
 ) -> np.ndarray:
     """d(logit of class_index) / d(output of `layer`), via reverse sweep."""
     resolved = resolve(spec)
-    names = [r.name for r in resolved]
-    if layer not in names:
-        raise ArgumentError(f"no layer named {layer!r}; known: {', '.join(names)}")
+    stop = layer_index(layer_names(spec), layer)
     if not 0 <= class_index < spec.num_classes:
         raise ArgumentError(f"class {class_index} out of range for {spec.num_classes} classes")
-    stop = names.index(layer)
-    grad = np.zeros(spec.num_classes, dtype=trace.logits.dtype)
-    grad[class_index] = 1
-    for i in range(len(resolved) - 1, stop, -1):
-        r = resolved[i]
-        x_in = trace.pre_activation(r.name)
-        s = r.spec
-        if s.kind == "conv":
-            grad, _ = ops.conv2d_backward(x_in, weights[r.name], s.stride, s.padding, grad)
-        elif s.kind == "relu":
-            grad = ops.relu_backward(x_in, grad)
-        elif s.kind == "maxpool":
-            grad = ops.maxpool_backward(x_in.shape, trace.routings[r.name], grad)
-        elif s.kind == "flatten":
-            grad = grad.reshape(x_in.shape)
-        elif s.kind == "fc":
-            grad, _ = ops.fc_backward(x_in, weights[r.name], grad)
-        # dropout: identity at inference
-    return grad
+    g = np.zeros((1, spec.num_classes), dtype=trace.logits.dtype)
+    g[0, class_index] = 1
+    for r in reversed(resolved[stop + 1:]):
+        routing = trace.routings.get(r.name)
+        g, _ = _layer_backward(r, weights, trace.pre_activation(r.name)[None],
+                               None if routing is None else routing[None], g)
+    return g[0]
 
 
 # --- batched training path ---
@@ -313,26 +319,9 @@ def _forward_batch(weights, spec, xb, train=False, drop_rng=None):
     cache = []
     cur = xb
     for r in resolve(spec):
-        s = r.spec
-        entry = {"layer": r, "x": cur}
-        if s.kind == "conv":
-            cur = ops.conv2d_forward_batch(cur, weights[r.name], s.stride, s.padding)
-        elif s.kind == "relu":
-            cur = ops.relu_forward(cur)
-        elif s.kind == "maxpool":
-            cur, routing = ops.maxpool_forward_batch(cur, s.window, s.stride)
-            entry["routing"] = routing
-        elif s.kind == "dropout":
-            if train and s.rate > 0.0:
-                mask = (drop_rng.random(cur.shape) >= s.rate).astype(cur.dtype)
-                mask /= np.float32(1.0 - s.rate)
-                cur = cur * mask
-                entry["mask"] = mask
-        elif s.kind == "flatten":
-            cur = cur.reshape(cur.shape[0], -1)
-        else:
-            cur = ops.fc_forward_batch(cur, weights[r.name])
-        cache.append(entry)
+        y, aux = _layer_forward(r, weights, cur, train, drop_rng)
+        cache.append((r, cur, aux))
+        cur = y
     return cur, cache
 
 
@@ -340,24 +329,9 @@ def _backward_batch(weights, cache, grad_logits):
     """Reverse sweep over a batch cache; returns summed parameter gradients."""
     grads: dict[str, np.ndarray] = {}
     g = grad_logits
-    for entry in reversed(cache):
-        r = entry["layer"]
-        s = r.spec
-        x_in = entry["x"]
-        if s.kind == "conv":
-            g, gw = ops.conv2d_backward_batch(x_in, weights[r.name], s.stride, s.padding, g)
-            grads[r.name] = gw
-        elif s.kind == "relu":
-            g = ops.relu_backward(x_in, g)
-        elif s.kind == "maxpool":
-            g = ops.maxpool_backward_batch(x_in.shape, entry["routing"], g)
-        elif s.kind == "dropout":
-            if "mask" in entry:
-                g = g * entry["mask"]
-        elif s.kind == "flatten":
-            g = g.reshape(x_in.shape)
-        else:
-            g, gw = ops.fc_backward_batch(x_in, weights[r.name], g)
+    for r, x_in, aux in reversed(cache):
+        g, gw = _layer_backward(r, weights, x_in, aux, g)
+        if gw is not None:
             grads[r.name] = gw
     return grads
 
@@ -529,6 +503,8 @@ def load_model(path) -> tuple[ModelSpec, dict[str, np.ndarray]]:
         if off + nbytes > len(data):
             raise FormatError(f"{path}: truncated tensor {name}")
         weights[name] = np.frombuffer(data[off:off + nbytes], dtype="<f4").reshape(shape).copy()
+        if not np.isfinite(weights[name]).all():
+            raise FormatError(f"{path}: tensor {name} has non-finite values")
         off += nbytes
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes after tensors")

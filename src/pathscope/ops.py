@@ -5,9 +5,9 @@ are float32 in normal use; matmul-heavy ops accumulate in float64 and cast
 the result back to the input dtype, so a float64 input stays float64 end to
 end (the finite-difference tests rely on that shadow path).
 
-Batched variants carry a leading batch axis and are what training and bulk
-evaluation use. The unbatched forms mirror them one sample at a time, so a
-single-sample result is bitwise identical to re-running the same op.
+Every tensor op takes a leading batch axis; a single sample is a batch of
+one (`x[None]` in, `[0]` out), so per-sample analyses and training share
+the same kernels.
 """
 
 from __future__ import annotations
@@ -182,45 +182,3 @@ def softmax_cross_entropy_batch(logits, labels):
     grads[np.arange(z.shape[0]), labels] -= 1.0
     return losses, grads.astype(logits.dtype, copy=False)
 
-
-# Single-sample forms; contracts are stated per sample, batches are an
-# implementation detail of training.
-
-def conv2d_forward(x, kernels, stride: int = 1, padding: int = 0):
-    if x.ndim != 3:
-        raise ShapeError(f"expected [C,H,W] input, got {x.shape}")
-    return conv2d_forward_batch(x[None], kernels, stride, padding)[0]
-
-
-def conv2d_backward(x, kernels, stride, padding, grad_out):
-    gx, gw = conv2d_backward_batch(x[None], kernels, stride, padding, grad_out[None])
-    return gx[0], gw
-
-
-def maxpool_forward(x, window: int, stride: int):
-    if x.ndim != 3:
-        raise ShapeError(f"expected [C,H,W] input, got {x.shape}")
-    y, routing = maxpool_forward_batch(x[None], window, stride)
-    return y[0], routing[0]
-
-
-def maxpool_backward(x_shape, routing, grad_out):
-    return maxpool_backward_batch((1, *x_shape), routing[None], grad_out[None])[0]
-
-
-def fc_forward(x, weights):
-    if x.ndim != 1:
-        raise ShapeError(f"expected [N] input, got {x.shape}")
-    return fc_forward_batch(x[None], weights)[0]
-
-
-def fc_backward(x, weights, grad_out):
-    gx, gw = fc_backward_batch(x[None], weights, grad_out[None])
-    return gx[0], gw
-
-
-def softmax_cross_entropy(logits, label: int):
-    if logits.ndim != 1:
-        raise ShapeError(f"expected [K] logits, got {logits.shape}")
-    losses, grads = softmax_cross_entropy_batch(logits[None], np.asarray([label]))
-    return float(losses[0]), grads[0]

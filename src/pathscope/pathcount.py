@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ops
 from .errors import ArgumentError, SizeError
-from .model import ForwardTrace, ModelSpec, resolve
+from .model import ForwardTrace, ModelSpec, layer_index, resolve
 
 _EXACT_LIMIT = float(2**53)
 
@@ -57,8 +58,7 @@ class OnOffPattern:
     layers: dict[str, np.ndarray]
 
     def layer(self, name: str) -> np.ndarray:
-        if name not in self.layers:
-            raise ArgumentError(f"no layer named {name!r}; known: {', '.join(self.layers)}")
+        layer_index(list(self.layers), name)
         return self.layers[name]
 
 
@@ -71,8 +71,7 @@ class PathCountMap:
     exact: bool
 
     def layer(self, name: str) -> np.ndarray:
-        if name not in self.layers:
-            raise ArgumentError(f"no layer named {name!r}; known: {', '.join(self.layers)}")
+        layer_index(list(self.layers), name)
         return self.layers[name]
 
 
@@ -104,8 +103,6 @@ def pathcount_forward(
     the counts of off neurons; pools forward the argmax winner's count;
     padding positions contribute nothing; dropout and flatten are identity.
     """
-    from . import ops  # local import keeps module load light
-
     pattern = extract_onoff(trace)
     counts: dict[str, np.ndarray] = {}
     cur = np.ones(spec.input_shape, dtype=np.float64)
@@ -113,7 +110,7 @@ def pathcount_forward(
         s = r.spec
         if s.kind == "conv":
             ones_w = (np.abs(weights[r.name]) > 0).astype(np.float64)
-            cur = ops.conv2d_forward(cur, ones_w, s.stride, s.padding)
+            cur = ops.conv2d_forward_batch(cur[None], ones_w, s.stride, s.padding)[0]
         elif s.kind == "relu":
             cur = cur * pattern.layer(r.name)
         elif s.kind == "maxpool":
@@ -123,7 +120,7 @@ def pathcount_forward(
             cur = cur.reshape(-1)
         elif s.kind == "fc":
             mask = clip_fc_weights(weights[r.name], clip)
-            cur = ops.fc_forward(cur, mask)
+            cur = ops.fc_forward_batch(cur[None], mask)[0]
         # dropout: identity
         counts[r.name] = cur
     exact = all(float(c.max(initial=0.0)) <= _EXACT_LIMIT for c in counts.values())
@@ -150,9 +147,7 @@ def pathcount_bruteforce(
     resolved = resolve(spec)
     names = [r.name for r in resolved]
     layer_name, neuron = target
-    if layer_name not in names:
-        raise ArgumentError(f"no layer named {layer_name!r}; known: {', '.join(names)}")
-    li = names.index(layer_name)
+    li = layer_index(names, layer_name)
     if not 0 <= neuron < int(np.prod(resolved[li].out_shape)):
         raise ArgumentError(f"neuron {neuron} out of range for {layer_name} {resolved[li].out_shape}")
 

@@ -15,7 +15,16 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ArgumentError
-from .model import ForwardTrace, ModelSpec, forward, forward_from_layer, model_digest, resolve
+from .model import (
+    ForwardTrace,
+    ModelSpec,
+    forward,
+    forward_from_layer,
+    layer_index,
+    layer_names,
+    model_digest,
+    resolve,
+)
 from .parallel import pmap
 from .pathcount import ClipConfig, PathCountMap, extract_onoff, on_ratio, pathcount_forward
 
@@ -61,12 +70,7 @@ def replaceable_layers(spec: ModelSpec) -> list[str]:
 
 
 def _layer_kind(spec: ModelSpec, layer: str) -> str:
-    for r in resolve(spec):
-        if r.name == layer:
-            return r.spec.kind
-    raise ArgumentError(
-        f"no layer named {layer!r}; known: {', '.join(r.name for r in resolve(spec))}"
-    )
+    return resolve(spec)[layer_index(layer_names(spec), layer)].spec.kind
 
 
 def _replaced_activation(

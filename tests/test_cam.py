@@ -11,6 +11,7 @@ import pytest
 import pathscope.cam as cam_mod
 from pathscope import (
     ArgumentError,
+    ClipConfig,
     Dataset,
     ModelSpec,
     bilinear_resize,
@@ -366,6 +367,36 @@ def test_perfect_localizer_scores_one(conv_net, monkeypatch):
     control = target_matching_accuracy(weights, spec, control_tiles,
                                        "act", target_shuffle_seed=7)
     assert 0.1 < control < 0.4
+
+
+def random_stub_choices(weights, spec, tiles):
+    return [tuple(cam_mod._tilematch_one((i, s), weights=weights, spec=spec,
+                                         variant="random", clip=ClipConfig()))
+            for i, s in enumerate(tiles)]
+
+
+def test_random_stub_varies_across_composites(conv_net):
+    spec, weights = conv_net
+    tiles = make_tiled(small_dataset(spec, n=16), 30, seed=1)
+    choices = random_stub_choices(weights, spec, tiles)
+    assert len(set(choices)) > 1
+    # every tile position is chosen for some composite and target
+    assert set(t for c in choices for t in c) == {0, 1, 2, 3}
+    # seeded by composite index: a rerun scores the very same maps
+    assert random_stub_choices(weights, spec, tiles) == choices
+
+
+def test_random_stub_accuracy_is_chance(conv_net):
+    spec, weights = conv_net
+    tiles = make_tiled(small_dataset(spec, n=16), 100, seed=2)
+    n = 4 * len(tiles)
+    # each of the n (composite, target) cases picks the right tile with
+    # probability 1/4, independently; allow 4 binomial standard deviations
+    band = 4 * np.sqrt(0.25 * 0.75 / n)
+    acc = target_matching_accuracy(weights, spec, tiles, "random")
+    control = target_matching_accuracy(weights, spec, tiles, "random", target_shuffle_seed=3)
+    assert abs(acc - 0.25) < band
+    assert abs(control - 0.25) < band
 
 
 def test_tilematch_worker_invariance(conv_net):

@@ -148,6 +148,18 @@ def test_corrupt_model_file_exits_2(conv_fixture, tmp_path):
                "--data-labels", labels, "--out", str(tmp_path / "o")) == 2
 
 
+def test_non_finite_model_weights_exit_2(conv_fixture, tmp_path, capsys):
+    _, images, labels = conv_fixture
+    spec = ModelSpec((1, 6, 6), 3, (conv(2), relu(), maxpool(), flatten(), fc(3)))
+    weights = build_model(spec, seed=5)
+    weights["fc1"][0, 0] = np.nan
+    bad = tmp_path / "nan.npsc"
+    save_model(weights, spec, bad)
+    assert run("eval", "--model", str(bad), "--data-images", images,
+               "--data-labels", labels, "--out", str(tmp_path / "o")) == 2
+    assert "fc1" in capsys.readouterr().err
+
+
 def test_corrupt_idx_exits_2(conv_fixture, tmp_path):
     model, _, _ = conv_fixture
     img = tmp_path / "junk.idx"
@@ -248,6 +260,16 @@ def test_sweep_worker_count_does_not_change_bytes(conv_fixture, tmp_path):
     assert run(*args, "--workers", "2", "--out", str(tmp_path / "w2")) == 0
     assert (tmp_path / "w1" / "sweep.csv").read_bytes() == \
            (tmp_path / "w2" / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exits_2(conv_fixture, tmp_path, capsys, workers):
+    model, images, labels = conv_fixture
+    assert run("replace-sweep", "--model", model, "--data-images", images,
+               "--data-labels", labels, "--workers", workers,
+               "--out", str(tmp_path / "o")) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_bad_kind_exits_2(conv_fixture, tmp_path):

@@ -87,13 +87,14 @@ def test_forward_matches_op_composition(small_conv_model):
     rng = np.random.default_rng(3)
     x = rng.random(spec.input_shape).astype(np.float32)
     trace = ps.forward(weights, spec, x)
-    h = ops.conv2d_forward(x, weights["conv1.conv"], 1, 1)
+    h = ops.conv2d_forward_batch(x[None], weights["conv1.conv"], 1, 1)[0]
     np.testing.assert_array_equal(trace.output("conv1.conv"), h)
     h = ops.relu_forward(h)
     np.testing.assert_array_equal(trace.output("conv1.relu"), h)
-    h, _ = ops.maxpool_forward(h, 2, 2)
+    h, _ = ops.maxpool_forward_batch(h[None], 2, 2)
+    h = h[0]
     np.testing.assert_array_equal(trace.output("pool1"), h)
-    logits = ops.fc_forward(h.reshape(-1), weights["fc1"])
+    logits = ops.fc_forward_batch(h.reshape(1, -1), weights["fc1"])[0]
     np.testing.assert_array_equal(trace.logits, logits)
 
 
@@ -316,6 +317,17 @@ def test_load_rejects_trailing_garbage(tmp_path, small_conv_model):
     bad.write_bytes(p.read_bytes() + b"\x00\x00")
     with pytest.raises(FormatError):
         ps.load_model(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_weights(tmp_path, small_conv_model, value):
+    spec, weights = small_conv_model
+    bad = {k: v.copy() for k, v in weights.items()}
+    bad["conv1.conv"][0, 0, 1, 1] = value
+    p = tmp_path / "m.npsc"
+    ps.save_model(bad, spec, p)
+    with pytest.raises(FormatError, match="conv1.conv"):
+        ps.load_model(p)
 
 
 def test_digest_changes_with_weights(tiny_spec):

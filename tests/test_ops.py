@@ -100,7 +100,7 @@ def test_conv_forward_matches_naive(seed):
     w = int(rng.integers(k, 8))
     x = rng.standard_normal((c_in, h, w))
     kernels = rng.standard_normal((c_out, c_in, k, k))
-    got = ops.conv2d_forward(x, kernels, stride, padding)
+    got = ops.conv2d_forward_batch(x[None], kernels, stride, padding)[0]
     want = conv2d_naive(x, kernels, stride, padding)
     assert got.shape == want.shape
     assert rel_err(got, want) < 1e-12
@@ -115,19 +115,20 @@ def test_maxpool_matches_naive(seed):
     window = int(rng.integers(1, min(h, w) + 1))
     stride = int(rng.choice([1, 2]))
     x = rng.standard_normal((c, h, w))
-    y, routing = ops.maxpool_forward(x, window, stride)
+    y, routing = ops.maxpool_forward_batch(x[None], window, stride)
+    y, routing = y[0], routing[0]
     y_want, routing_want = maxpool_naive(x, window, stride)
     np.testing.assert_array_equal(y, y_want)
     np.testing.assert_array_equal(routing, routing_want)
 
 
 def test_maxpool_tie_takes_lowest_flat_index():
-    x = np.zeros((1, 2, 2))
-    _, routing = ops.maxpool_forward(x, 2, 2)
-    assert routing[0, 0, 0] == 0
-    x = np.array([[[0.0, 1.0], [1.0, 0.0]]])
-    _, routing = ops.maxpool_forward(x, 2, 2)
-    assert routing[0, 0, 0] == 1  # first 1.0 in row-major order
+    x = np.zeros((1, 1, 2, 2))
+    _, routing = ops.maxpool_forward_batch(x, 2, 2)
+    assert routing[0, 0, 0, 0] == 0
+    x = np.array([[[[0.0, 1.0], [1.0, 0.0]]]])
+    _, routing = ops.maxpool_forward_batch(x, 2, 2)
+    assert routing[0, 0, 0, 0] == 1  # first 1.0 in row-major order
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -136,29 +137,30 @@ def test_fc_matches_naive(seed):
     n, m = int(rng.integers(1, 10)), int(rng.integers(1, 10))
     x = rng.standard_normal(n)
     w = rng.standard_normal((m, n))
-    assert rel_err(ops.fc_forward(x, w), fc_naive(x, w)) < 1e-12
+    assert rel_err(ops.fc_forward_batch(x[None], w)[0], fc_naive(x, w)) < 1e-12
 
 
 def test_conv_shape_errors():
-    x = np.zeros((2, 4, 4))
+    x = np.zeros((1, 2, 4, 4))
     with pytest.raises(ShapeError):
-        ops.conv2d_forward(x, np.zeros((1, 3, 3, 3)))  # channel mismatch
+        ops.conv2d_forward_batch(x, np.zeros((1, 3, 3, 3)))  # channel mismatch
     with pytest.raises(ShapeError):
-        ops.conv2d_forward(x, np.zeros((1, 2, 3, 2)))  # non-square kernel
+        ops.conv2d_forward_batch(x, np.zeros((1, 2, 3, 2)))  # non-square kernel
     with pytest.raises(ShapeError):
-        ops.conv2d_forward(x, np.zeros((1, 2, 9, 9)), padding=0)  # kernel too big
+        ops.conv2d_forward_batch(x, np.zeros((1, 2, 9, 9)), padding=0)  # kernel too big
     with pytest.raises(ArgumentError):
-        ops.conv2d_forward(x, np.zeros((1, 2, 3, 3)), stride=0)
+        ops.conv2d_forward_batch(x, np.zeros((1, 2, 3, 3)), stride=0)
 
 
 def test_dtype_preserved():
-    x32 = np.ones((1, 4, 4), dtype=np.float32)
+    x32 = np.ones((1, 1, 4, 4), dtype=np.float32)
     k32 = np.ones((2, 1, 3, 3), dtype=np.float32)
-    assert ops.conv2d_forward(x32, k32, 1, 1).dtype == np.float32
+    assert ops.conv2d_forward_batch(x32, k32, 1, 1).dtype == np.float32
     x64 = x32.astype(np.float64)
     k64 = k32.astype(np.float64)
-    assert ops.conv2d_forward(x64, k64, 1, 1).dtype == np.float64
-    assert ops.fc_forward(np.ones(3, np.float32), np.ones((2, 3), np.float32)).dtype == np.float32
+    assert ops.conv2d_forward_batch(x64, k64, 1, 1).dtype == np.float64
+    assert ops.fc_forward_batch(np.ones((1, 3), np.float32),
+                                np.ones((2, 3), np.float32)).dtype == np.float32
 
 
 # --- gradients ---
@@ -174,12 +176,15 @@ def test_conv_gradients_finite_difference():
         w = int(rng.integers(k, 6))
         x = rng.standard_normal((c_in, h, w))
         kernels = rng.standard_normal((c_out, c_in, k, k))
-        g_out = rng.standard_normal(ops.conv2d_forward(x, kernels, stride, padding).shape)
+        g_out = rng.standard_normal(
+            ops.conv2d_forward_batch(x[None], kernels, stride, padding)[0].shape)
 
         def loss():
-            return float((ops.conv2d_forward(x, kernels, stride, padding) * g_out).sum())
+            return float((ops.conv2d_forward_batch(x[None], kernels, stride, padding)[0]
+                          * g_out).sum())
 
-        gx, gw = ops.conv2d_backward(x, kernels, stride, padding, g_out)
+        gx, gw = ops.conv2d_backward_batch(x[None], kernels, stride, padding, g_out[None])
+        gx = gx[0]
         assert rel_err(gx, central_diff(loss, x)) < 1e-6
         assert rel_err(gw, central_diff(loss, kernels)) < 1e-6
 
@@ -191,9 +196,10 @@ def test_fc_gradients_finite_difference():
     g_out = rng.standard_normal(4)
 
     def loss():
-        return float((ops.fc_forward(x, w) * g_out).sum())
+        return float((ops.fc_forward_batch(x[None], w)[0] * g_out).sum())
 
-    gx, gw = ops.fc_backward(x, w, g_out)
+    gx, gw = ops.fc_backward_batch(x[None], w, g_out[None])
+    gx = gx[0]
     assert rel_err(gx, central_diff(loss, x)) < 1e-8
     assert rel_err(gw, central_diff(loss, w)) < 1e-8
 
@@ -203,13 +209,13 @@ def test_maxpool_gradient_finite_difference():
     # Distinct values keep the argmax stable under the probe step.
     x = rng.permutation(36).astype(np.float64).reshape(1, 6, 6)
     g_out = rng.standard_normal((1, 3, 3))
-    _, routing = ops.maxpool_forward(x, 2, 2)
+    _, routing = ops.maxpool_forward_batch(x[None], 2, 2)
 
     def loss():
-        y, _ = ops.maxpool_forward(x, 2, 2)
-        return float((y * g_out).sum())
+        y, _ = ops.maxpool_forward_batch(x[None], 2, 2)
+        return float((y[0] * g_out).sum())
 
-    gx = ops.maxpool_backward(x.shape, routing, g_out)
+    gx = ops.maxpool_backward_batch((1, *x.shape), routing, g_out[None])[0]
     assert rel_err(gx, central_diff(loss, x, h=1e-3)) < 1e-8
 
 
@@ -225,22 +231,24 @@ def test_softmax_cross_entropy_gradient():
     label = 2
 
     def loss():
-        l, _ = ops.softmax_cross_entropy(logits, label)
-        return l
+        l, _ = ops.softmax_cross_entropy_batch(logits[None], [label])
+        return float(l[0])
 
-    _, grad = ops.softmax_cross_entropy(logits, label)
+    _, grad = ops.softmax_cross_entropy_batch(logits[None], [label])
+    grad = grad[0]
     assert rel_err(grad, central_diff(loss, logits)) < 1e-8
 
 
 def test_softmax_cross_entropy_stable_at_large_logits():
-    loss, grad = ops.softmax_cross_entropy(np.array([1000.0, 0.0]), 0)
+    losses, grad = ops.softmax_cross_entropy_batch(np.array([[1000.0, 0.0]]), [0])
+    loss = float(losses[0])
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert np.all(np.isfinite(grad))
 
 
 def test_softmax_label_out_of_range():
     with pytest.raises(ArgumentError):
-        ops.softmax_cross_entropy(np.zeros(3), 3)
+        ops.softmax_cross_entropy_batch(np.zeros((1, 3)), [3])
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -251,7 +259,7 @@ def test_batched_conv_equals_per_sample(seed):
     kernels = rng.standard_normal((2, 2, 3, 3))
     batched = ops.conv2d_forward_batch(x, kernels, 1, 1)
     for i in range(3):
-        single = ops.conv2d_forward(x[i], kernels, 1, 1)
+        single = ops.conv2d_forward_batch(x[i][None], kernels, 1, 1)[0]
         np.testing.assert_array_equal(batched[i], single)
 
 
@@ -262,6 +270,7 @@ def test_batched_pool_equals_per_sample(seed):
     x = rng.standard_normal((3, 2, 6, 6))
     yb, rb = ops.maxpool_forward_batch(x, 2, 2)
     for i in range(3):
-        y, r = ops.maxpool_forward(x[i], 2, 2)
+        y, r = ops.maxpool_forward_batch(x[i][None], 2, 2)
+        y, r = y[0], r[0]
         np.testing.assert_array_equal(yb[i], y)
         np.testing.assert_array_equal(rb[i], r)
