@@ -61,8 +61,11 @@ def _normalize(sal: np.ndarray) -> np.ndarray:
     return sal / m if m > 0 else sal
 
 
-def _cam_from_trace(weights, spec, trace: ForwardTrace, target_class: int,
-                    variant: str, clip: ClipConfig) -> np.ndarray:
+def cam_from_trace(weights, spec, trace: ForwardTrace, target_class: int,
+                   variant: str, clip: ClipConfig) -> np.ndarray:
+    """Saliency map [H,W] in [0,1] of the input `trace` was taken on: relu of
+    gradient-weighted feature terms at the last conv ReLU, bilinearly
+    upsampled and max-normalized."""
     layer = cam_layer(spec)
     feats = trace.output(layer)
     grad = gradient_wrt_layer(weights, spec, trace, layer, target_class)
@@ -88,12 +91,8 @@ def grad_cam(
     variant: str = "act",
     clip: ClipConfig = ClipConfig(),
 ) -> np.ndarray:
-    """Saliency map [H,W] in [0,1]: relu of gradient-weighted feature terms at
-    the last conv ReLU, bilinearly upsampled and max-normalized."""
-    if not 0 <= target_class < spec.num_classes:
-        raise ArgumentError(f"class {target_class} out of range for {spec.num_classes} classes")
-    trace = forward(weights, spec, x)
-    return _cam_from_trace(weights, spec, trace, target_class, variant, clip)
+    """cam_from_trace on a fresh forward trace of `x`."""
+    return cam_from_trace(weights, spec, forward(weights, spec, x), target_class, variant, clip)
 
 
 def saliency_map(weights, spec, x, target_class, variant, clip=ClipConfig(),
@@ -141,7 +140,7 @@ def _degrade_one(item, *, weights, spec, variant, fractions, clip, fill, seed):
     target = int(np.argmax(trace.logits))
     rng = np.random.default_rng((seed, i)) if variant == "random" else None
     if variant in CAM_VARIANTS:
-        sal = _cam_from_trace(weights, spec, trace, target, variant, clip)
+        sal = cam_from_trace(weights, spec, trace, target, variant, clip)
     else:
         sal = saliency_map(weights, spec, x, target, variant, clip, rng)
     correct = np.zeros((2, len(fractions)), dtype=np.float64)
@@ -251,7 +250,7 @@ def _tilematch_one(item, *, weights, spec, variant, clip):
     for t in range(4):
         target = sample.labels[t]
         if variant in CAM_VARIANTS:
-            sal = _cam_from_trace(weights, spec, trace, target, variant, clip)
+            sal = cam_from_trace(weights, spec, trace, target, variant, clip)
         else:
             rng = np.random.default_rng((i, t)) if variant == "random" else None
             sal = saliency_map(weights, spec, sample.image, target, variant, clip, rng)

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,42 +40,48 @@ from .model import (
 )
 from .pathcount import ClipConfig, pathcount_forward
 
-_TYPES = {
-    "data_images": str, "data_labels": str, "synthetic": str, "synthetic_n": int,
-    "scale_min": float, "scale_max": float, "small_fraction": float,
-    "model": str, "out": str, "seed": int,
-    "layer": str, "kinds": str, "clip_mode": str, "clip_threshold": float,
-    "sample": int, "steps": int, "variant": str, "tiles": int, "workers": int,
-    "epochs": int, "batch_size": int, "lr": float, "profile": str,
-    "target_class": int,
-}
-
 _ALL_KINDS = ",".join(replacement.REPLACEMENT_KINDS)
+
+# Every option once: its argparse keywords, whose `type` also types the
+# option's value when it comes from a --config file.
+_OPTIONS: dict[str, dict] = {
+    "out": dict(type=str, help="output directory"),
+    "seed": dict(type=int),
+    "data_images": dict(type=str, help="IDX image file"),
+    "data_labels": dict(type=str, help="IDX label file"),
+    "synthetic": dict(type=str, nargs="?", const="digits", choices=["digits", "blobs"],
+                      help="use a generated dataset (default kind: digits)"),
+    "synthetic_n": dict(type=int, help="generated dataset size"),
+    "scale_min": dict(type=float, help="digit generator: minimum scale"),
+    "scale_max": dict(type=float, help="digit generator: maximum scale"),
+    "small_fraction": dict(type=float, help="digit generator: fraction drawn at the "
+                                            "low-scale augmentation range"),
+    "clip_mode": dict(type=str, choices=["absolute", "mean"], help="fc weight clip mode"),
+    "clip_threshold": dict(type=float, help="fc weight clip threshold"),
+    "model": dict(type=str),
+    "profile": dict(type=str, choices=["desk", "reference"]),
+    "epochs": dict(type=int),
+    "batch_size": dict(type=int),
+    "lr": dict(type=float),
+    "sample": dict(type=int, help="number of images"),
+    "layer": dict(type=str, help="restrict the report to one layer"),
+    "kinds": dict(type=str, help=f"comma list from: {_ALL_KINDS}"),
+    "workers": dict(type=int),
+    "variant": dict(type=str, choices=list(cam_mod.CAM_VARIANTS + cam_mod.STUB_VARIANTS)),
+    "target_class": dict(type=int, help="CAM target (default: predicted class)"),
+    "steps": dict(type=int),
+    "tiles": dict(type=int),
+}
 
 _DATASET_KEYS = {"data_images": None, "data_labels": None, "synthetic": None,
                  "synthetic_n": 2000, "scale_min": data.DEFAULT_SCALE_RANGE[0],
                  "scale_max": data.DEFAULT_SCALE_RANGE[1], "small_fraction": 0.0}
-_CLIP_KEYS = {"clip_mode": "absolute", "clip_threshold": 0.0}
 
-_DEFAULTS: dict[str, dict] = {
-    "train": {**_DATASET_KEYS, "synthetic_n": 8000, "out": "train_out", "seed": 0,
-              "small_fraction": data.TRAIN_SMALL_FRACTION,
-              "profile": "desk", "epochs": None, "batch_size": None, "lr": None},
-    "eval": {**_DATASET_KEYS, "model": None, "out": "eval_out", "seed": 0},
-    "pathcount": {**_DATASET_KEYS, **_CLIP_KEYS, "model": None, "out": "pathcount_out",
-                  "seed": 0, "sample": 0, "layer": None},
-    "replace-sweep": {**_DATASET_KEYS, **_CLIP_KEYS, "model": None, "out": "sweep_out",
-                      "seed": 0, "kinds": _ALL_KINDS, "sample": 1000, "workers": 1},
-    "correlate": {**_DATASET_KEYS, **_CLIP_KEYS, "model": None, "out": "correlate_out",
-                  "seed": 0, "sample": 1000, "workers": 1},
-    "cam": {**_DATASET_KEYS, **_CLIP_KEYS, "model": None, "out": "cam_out", "seed": 0,
-            "sample": 0, "variant": "act", "target_class": None},
-    "degrade": {**_DATASET_KEYS, **_CLIP_KEYS, "model": None, "out": "degrade_out",
-                "seed": 0, "variant": "act", "steps": 10, "sample": 200, "workers": 1},
-    "tilematch": {**_DATASET_KEYS, **_CLIP_KEYS, "model": None, "out": "tilematch_out",
-                  "seed": 0, "variant": "act", "tiles": 500, "workers": 1,
-                  "scale_min": 1.0, "scale_max": 1.0},
-}
+
+def _analysis_keys(out: str, **keys) -> dict:
+    """Defaults shared by the commands that analyse a saved model."""
+    return {"out": out, "seed": 0, **_DATASET_KEYS, "clip_mode": "absolute",
+            "clip_threshold": 0.0, "model": None, **keys}
 
 
 def _parse_config_file(path: str, defaults: dict) -> dict:
@@ -95,107 +102,27 @@ def _parse_config_file(path: str, defaults: dict) -> dict:
         if key not in defaults:
             raise ArgumentError(f"{path}:{ln}: unknown key {key!r} for this command")
         try:
-            out[key] = _TYPES[key](value.strip())
+            out[key] = _OPTIONS[key]["type"](value.strip())
         except ValueError as e:
             raise ArgumentError(f"{path}:{ln}: bad value for {key}: {e}") from e
     return out
 
 
-def _opt(parser, *names, **kwargs):
-    parser.add_argument(*names, default=argparse.SUPPRESS, **kwargs)
-
-
-def _add_dataset_flags(p):
-    _opt(p, "--data-images", help="IDX image file")
-    _opt(p, "--data-labels", help="IDX label file")
-    _opt(p, "--synthetic", nargs="?", const="digits", choices=["digits", "blobs"],
-         help="use a generated dataset (default kind: digits)")
-    _opt(p, "--synthetic-n", type=int, help="generated dataset size")
-    _opt(p, "--scale-min", type=float, help="digit generator: minimum scale")
-    _opt(p, "--scale-max", type=float, help="digit generator: maximum scale")
-    _opt(p, "--small-fraction", type=float,
-         help="digit generator: fraction drawn at the low-scale augmentation range")
-
-
-def _add_clip_flags(p):
-    _opt(p, "--clip-mode", choices=["absolute", "mean"], help="fc weight clip mode")
-    _opt(p, "--clip-threshold", type=float, help="fc weight clip threshold")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pathscope")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def new(name, **kw):
-        p = sub.add_parser(name, **kw)
-        _opt(p, "--config", help="flat key=value config file; flags override it")
-        _opt(p, "--out", help="output directory")
-        _opt(p, "--seed", type=int)
-        return p
-
-    p = new("train", help="train a model and save it")
-    _add_dataset_flags(p)
-    _opt(p, "--profile", choices=["desk", "reference"])
-    _opt(p, "--epochs", type=int)
-    _opt(p, "--batch-size", type=int)
-    _opt(p, "--lr", type=float)
-
-    p = new("eval", help="accuracy of a saved model on a dataset")
-    _add_dataset_flags(p)
-    _opt(p, "--model")
-
-    p = new("pathcount", help="path counts of one input, layer by layer")
-    _add_dataset_flags(p)
-    _add_clip_flags(p)
-    _opt(p, "--model")
-    _opt(p, "--sample", type=int, help="dataset index of the input to trace")
-    _opt(p, "--layer", help="restrict the report to one layer")
-
-    p = new("replace-sweep", help="replacement accuracy per layer and kind")
-    _add_dataset_flags(p)
-    _add_clip_flags(p)
-    _opt(p, "--model")
-    _opt(p, "--kinds", help=f"comma list from: {_ALL_KINDS}")
-    _opt(p, "--sample", type=int, help="number of images")
-    _opt(p, "--workers", type=int)
-
-    p = new("correlate", help="rank correlation of representations vs path counts")
-    _add_dataset_flags(p)
-    _add_clip_flags(p)
-    _opt(p, "--model", help="model file, or comma list to aggregate over seeds")
-    _opt(p, "--sample", type=int, help="number of images")
-    _opt(p, "--workers", type=int)
-
-    p = new("cam", help="saliency map for one input")
-    _add_dataset_flags(p)
-    _add_clip_flags(p)
-    _opt(p, "--model")
-    _opt(p, "--sample", type=int, help="dataset index of the input")
-    _opt(p, "--variant", choices=list(cam_mod.CAM_VARIANTS))
-    _opt(p, "--target-class", type=int, help="CAM target (default: predicted class)")
-
-    p = new("degrade", help="MoRF/LeRF perturbation curves and area")
-    _add_dataset_flags(p)
-    _add_clip_flags(p)
-    _opt(p, "--model")
-    _opt(p, "--variant", choices=list(cam_mod.CAM_VARIANTS + cam_mod.STUB_VARIANTS))
-    _opt(p, "--steps", type=int)
-    _opt(p, "--sample", type=int, help="number of images")
-    _opt(p, "--workers", type=int)
-
-    p = new("tilematch", help="target-matching accuracy on tiled composites")
-    _add_dataset_flags(p)
-    _add_clip_flags(p)
-    _opt(p, "--model")
-    _opt(p, "--variant", choices=list(cam_mod.CAM_VARIANTS + cam_mod.STUB_VARIANTS))
-    _opt(p, "--tiles", type=int)
-    _opt(p, "--workers", type=int)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", default=argparse.SUPPRESS,
+                       help="flat key=value config file; flags override it")
+        for key in command.defaults:
+            p.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS,
+                           **{**_OPTIONS[key], **command.overrides.get(key, {})})
     return parser
 
 
 def _merge_config(command: str, flags: dict) -> dict:
-    cfg = dict(_DEFAULTS[command])
+    cfg = dict(_COMMANDS[command].defaults)
     config_path = flags.pop("config", None)
     if config_path:
         cfg.update(_parse_config_file(config_path, cfg))
@@ -220,6 +147,14 @@ def _resolve_dataset(cfg: dict):
             return synthetic_blobs(cfg["synthetic_n"], seed=cfg["seed"])
         raise ArgumentError(f"unknown synthetic kind {kind!r}")
     raise ArgumentError("no dataset: pass --synthetic or --data-images/--data-labels")
+
+
+def _sampled_dataset(cfg: dict):
+    """The dataset, cut to a seeded subsample of --sample images when smaller."""
+    dataset = _resolve_dataset(cfg)
+    if cfg["sample"] < len(dataset):
+        dataset = subsample(dataset, cfg["sample"], cfg["seed"])
+    return dataset
 
 
 def _clip(cfg: dict) -> ClipConfig:
@@ -333,9 +268,7 @@ def cmd_pathcount(cfg: dict) -> int:
 
 def cmd_replace_sweep(cfg: dict) -> int:
     spec, weights = _load_model(cfg)
-    dataset = _resolve_dataset(cfg)
-    if cfg["sample"] < len(dataset):
-        dataset = subsample(dataset, cfg["sample"], cfg["seed"])
+    dataset = _sampled_dataset(cfg)
     kinds = tuple(k.strip() for k in cfg["kinds"].split(",") if k.strip())
     report = replacement.sweep(weights, spec, dataset, kinds, _clip(cfg), cfg["workers"])
     out = _outdir(cfg, "replace-sweep")
@@ -354,9 +287,7 @@ def cmd_correlate(cfg: dict) -> int:
     if not cfg.get("model"):
         raise ArgumentError("this command needs --model")
     paths = [p.strip() for p in cfg["model"].split(",") if p.strip()]
-    dataset = _resolve_dataset(cfg)
-    if cfg["sample"] < len(dataset):
-        dataset = subsample(dataset, cfg["sample"], cfg["seed"])
+    dataset = _sampled_dataset(cfg)
     out = _outdir(cfg, "correlate")
     per_model = []
     for i, path in enumerate(paths):
@@ -386,7 +317,7 @@ def cmd_cam(cfg: dict) -> int:
     target = cfg["target_class"]
     if target is None:
         target = int(np.argmax(trace.logits))
-    sal = cam_mod.grad_cam(weights, spec, x, target, cfg["variant"], _clip(cfg))
+    sal = cam_mod.cam_from_trace(weights, spec, trace, target, cfg["variant"], _clip(cfg))
     out = _outdir(cfg, "cam")
     reports.write_pgm(os.path.join(out, "cam.pgm"), sal)
     reports.write_csv(os.path.join(out, "cam.csv"),
@@ -402,9 +333,7 @@ def cmd_cam(cfg: dict) -> int:
 
 def cmd_degrade(cfg: dict) -> int:
     spec, weights = _load_model(cfg)
-    dataset = _resolve_dataset(cfg)
-    if cfg["sample"] < len(dataset):
-        dataset = subsample(dataset, cfg["sample"], cfg["seed"])
+    dataset = _sampled_dataset(cfg)
     morf, lerf, area = cam_mod.degradation_score(
         weights, spec, dataset, cfg["variant"], cfg["steps"], _clip(cfg),
         workers=cfg["workers"], seed=cfg["seed"])
@@ -442,15 +371,43 @@ def cmd_tilematch(cfg: dict) -> int:
     return 0
 
 
+class _Command(NamedTuple):
+    run: Callable[[dict], int]
+    help: str
+    defaults: dict  # option -> default; also the command's config-file keys
+    overrides: dict = {}  # option -> argparse keywords that differ for this command
+
+
 _COMMANDS = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "pathcount": cmd_pathcount,
-    "replace-sweep": cmd_replace_sweep,
-    "correlate": cmd_correlate,
-    "cam": cmd_cam,
-    "degrade": cmd_degrade,
-    "tilematch": cmd_tilematch,
+    "train": _Command(cmd_train, "train a model and save it", {
+        "out": "train_out", "seed": 0, **_DATASET_KEYS, "synthetic_n": 8000,
+        "small_fraction": data.TRAIN_SMALL_FRACTION,
+        "profile": "desk", "epochs": None, "batch_size": None, "lr": None}),
+    "eval": _Command(cmd_eval, "accuracy of a saved model on a dataset", {
+        "out": "eval_out", "seed": 0, **_DATASET_KEYS, "model": None}),
+    "pathcount": _Command(
+        cmd_pathcount, "path counts of one input, layer by layer",
+        _analysis_keys("pathcount_out", sample=0, layer=None),
+        {"sample": {"help": "dataset index of the input to trace"}}),
+    "replace-sweep": _Command(
+        cmd_replace_sweep, "replacement accuracy per layer and kind",
+        _analysis_keys("sweep_out", kinds=_ALL_KINDS, sample=1000, workers=1)),
+    "correlate": _Command(
+        cmd_correlate, "rank correlation of representations vs path counts",
+        _analysis_keys("correlate_out", sample=1000, workers=1),
+        {"model": {"help": "model file, or comma list to aggregate over seeds"}}),
+    "cam": _Command(
+        cmd_cam, "saliency map for one input",
+        _analysis_keys("cam_out", sample=0, variant="act", target_class=None),
+        {"sample": {"help": "dataset index of the input"},
+         "variant": {"choices": list(cam_mod.CAM_VARIANTS)}}),
+    "degrade": _Command(
+        cmd_degrade, "MoRF/LeRF perturbation curves and area",
+        _analysis_keys("degrade_out", variant="act", steps=10, sample=200, workers=1)),
+    "tilematch": _Command(
+        cmd_tilematch, "target-matching accuracy on tiled composites",
+        _analysis_keys("tilematch_out", variant="act", tiles=500, workers=1,
+                       scale_min=1.0, scale_max=1.0)),
 }
 
 
@@ -460,7 +417,7 @@ def main(argv=None) -> int:
     command = flags.pop("command")
     try:
         cfg = _merge_config(command, flags)
-        return _COMMANDS[command](cfg)
+        return _COMMANDS[command].run(cfg)
     except (NumericalError, UndefinedCorrelationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -236,6 +236,8 @@ def synthetic_digits(
 
 def subsample(dataset: Dataset, n: int, seed: int = 0) -> Dataset:
     """Uniform sample without replacement; deterministic by seed."""
+    if n < 0:
+        raise ArgumentError(f"sample count must be >= 0, got {n}")
     if n > len(dataset):
         raise ArgumentError(f"cannot take {n} of {len(dataset)} samples")
     rng = np.random.default_rng(seed)

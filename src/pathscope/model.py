@@ -342,7 +342,6 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 64
     seed: int = 0
-    dropout_active: bool = True
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -374,7 +373,7 @@ def train_sgd(weights, spec, dataset, config: TrainConfig):
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
             xb = images[idx]
-            logits, cache = _forward_batch(w, spec, xb, train=config.dropout_active, drop_rng=drop_rng)
+            logits, cache = _forward_batch(w, spec, xb, train=True, drop_rng=drop_rng)
             losses, grad_logits = ops.softmax_cross_entropy_batch(logits, labels[idx])
             loss = float(losses.mean())
             if not math.isfinite(loss):

@@ -11,7 +11,7 @@ import math
 import multiprocessing
 
 
-def pmap(fn, items, workers: int = 1, chunksize: int | None = None) -> list:
+def pmap(fn, items, workers: int = 1) -> list:
     """Map `fn` over `items`, in order; forks `workers` processes when > 1.
 
     `fn` and items must be picklable when workers > 1 (use a module-level
@@ -24,7 +24,6 @@ def pmap(fn, items, workers: int = 1, chunksize: int | None = None) -> list:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # platforms without fork
         ctx = multiprocessing.get_context()
-    if chunksize is None:
-        chunksize = max(1, math.ceil(len(items) / (workers * 4)))
+    chunksize = max(1, math.ceil(len(items) / (workers * 4)))
     with ctx.Pool(processes=workers) as pool:
         return pool.map(fn, items, chunksize=chunksize)

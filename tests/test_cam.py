@@ -361,7 +361,7 @@ def test_perfect_localizer_scores_one(conv_net, monkeypatch):
         sal[r * 4:(r + 1) * 4, c * 4:(c + 1) * 4] = 1.0
         return sal
 
-    monkeypatch.setattr(cam_mod, "_cam_from_trace", oracle_cam)
+    monkeypatch.setattr(cam_mod, "cam_from_trace", oracle_cam)
     assert target_matching_accuracy(weights, spec, tiles, "act") == 1.0
     # the shuffled-target control degrades the same oracle to chance level
     control = target_matching_accuracy(weights, spec, control_tiles,

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: every command is run in-process through main(),
 asserting on exit codes, emitted files, and reproducibility."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -19,7 +20,7 @@ from pathscope import (
     save_model,
     write_idx,
 )
-from pathscope.cli import main
+from pathscope.cli import _merge_config, build_parser, main
 from pathscope.model import build_model, desk_spec
 
 
@@ -262,6 +263,34 @@ def test_sweep_worker_count_does_not_change_bytes(conv_fixture, tmp_path):
            (tmp_path / "w2" / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command, args", [
+    ("degrade", ["--variant", "act", "--sample", "6", "--steps", "2"]),
+    ("degrade", ["--variant", "random", "--sample", "6", "--steps", "2"]),
+    ("tilematch", ["--variant", "random", "--tiles", "4"]),
+    ("correlate", ["--sample", "3"]),
+], ids=["degrade-act", "degrade-random", "tilematch-random", "correlate"])
+def test_worker_count_does_not_change_reports(desk_fixture, tmp_path, command, args):
+    argv = [command, "--model", desk_fixture, "--synthetic", "blobs", "--synthetic-n", "16",
+            *args]
+    assert run(*argv, "--workers", "1", "--out", str(tmp_path / "w1")) == 0
+    assert run(*argv, "--workers", "2", "--out", str(tmp_path / "w2")) == 0
+    # the config sidecars differ in `out` and `workers`; every report must not
+    reports = lambda d: {p.name: p.read_bytes() for p in d.iterdir()
+                         if not p.name.endswith("_config.json")}
+    w1 = reports(tmp_path / "w1")
+    assert w1 and w1 == reports(tmp_path / "w2")
+
+
+@pytest.mark.parametrize("command", ["replace-sweep", "correlate", "degrade"])
+def test_negative_sample_exits_2(conv_fixture, tmp_path, capsys, command):
+    model, images, labels = conv_fixture
+    assert run(command, "--model", model, "--data-images", images,
+               "--data-labels", labels, "--sample", "-1",
+               "--out", str(tmp_path / "o")) == 2
+    assert "-1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_workers_below_one_exits_2(conv_fixture, tmp_path, capsys, workers):
     model, images, labels = conv_fixture
@@ -411,3 +440,35 @@ def test_config_file_bad_line_exits_2(tmp_path):
 def test_missing_config_file_exits_2(tmp_path):
     assert run("eval", "--config", str(tmp_path / "nope.cfg"),
                "--out", str(tmp_path / "o")) == 2
+
+
+def _command_parsers():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _sample_value(action) -> str:
+    if action.choices:
+        return action.choices[-1]
+    return {int: "3", float: "0.25"}.get(action.type, "x")
+
+
+@pytest.mark.parametrize("command", sorted(_command_parsers()))
+def test_every_flag_is_a_config_key_with_the_same_value(tmp_path, command):
+    parser = build_parser()
+    actions = [a for a in _command_parsers()[command]._actions
+               if a.dest not in ("help", "config")]
+    assert {a.dest for a in actions} == set(_merge_config(command, {}))
+    for action in actions:
+        value = _sample_value(action)
+        cfg_file = tmp_path / f"{action.dest}.cfg"
+        cfg_file.write_text(f"{action.option_strings[0][2:]} = {value}\n")
+        resolved = []
+        for argv in ([command, action.option_strings[0], value],
+                     [command, "--config", str(cfg_file)]):
+            flags = vars(parser.parse_args(argv))
+            flags.pop("command")
+            resolved.append({k: (type(v), v) for k, v in _merge_config(command, flags).items()})
+        assert resolved[0] == resolved[1], action.dest
+        assert resolved[0][action.dest][1] != _merge_config(command, {})[action.dest]

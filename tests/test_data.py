@@ -165,6 +165,12 @@ def test_subsample_too_large():
         ps.subsample(ds, 11, 0)
 
 
+def test_subsample_negative_count():
+    ds = ps.synthetic_blobs(10, classes=2, image_hw=8, seed=0)
+    with pytest.raises(ArgumentError):
+        ps.subsample(ds, -1, 0)
+
+
 def test_subsample_balanced_within_tolerance():
     ds = ps.synthetic_digits(10000, seed=8)
     sub = ps.subsample(ds, 1000, seed=1)
