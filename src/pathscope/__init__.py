@@ -8,7 +8,6 @@ from .cam import (
     bilinear_resize,
     cam_layer,
     degradation_score,
-    grad_cam,
     make_tiled,
     perturb,
     saliency_map,

@@ -1,11 +1,12 @@
 """Gradient-weighted class activation maps and their evaluation.
 
-Variants differ only in the feature term weighted by the channel gradients:
-the activation itself ("act"), its binary on/off pattern ("onoff"), or its
-path counts ("pathcount"). Two evaluation protocols: pixel-perturbation
-degradation (most/least relevant first) and target matching on 2x2 tiled
-composites. "uniform" and "random" saliency stubs serve as baselines for
-both protocols.
+`saliency_map` is the single saliency entry point: it reads the forward
+trace its caller already holds. CAM variants differ only in the feature term
+weighted by the channel gradients: the activation itself ("act"), its binary
+on/off pattern ("onoff"), or its path counts ("pathcount"). "uniform" and
+"random" stubs serve as baselines. Two evaluation protocols:
+pixel-perturbation degradation (most/least relevant first) and target
+matching on 2x2 tiled composites.
 """
 
 from __future__ import annotations
@@ -61,15 +62,24 @@ def _normalize(sal: np.ndarray) -> np.ndarray:
     return sal / m if m > 0 else sal
 
 
-def cam_from_trace(weights, spec, trace: ForwardTrace, target_class: int,
-                   variant: str, clip: ClipConfig) -> np.ndarray:
-    """Saliency map [H,W] in [0,1] of the input `trace` was taken on: relu of
-    gradient-weighted feature terms at the last conv ReLU, bilinearly
-    upsampled and max-normalized."""
+def saliency_map(weights, spec, trace: ForwardTrace, target_class: int, variant: str,
+                 clip: ClipConfig = ClipConfig(),
+                 rng: np.random.Generator | None = None) -> np.ndarray:
+    """Saliency map [H,W] of the input `trace` was taken on.
+
+    CAM variants: relu of the gradient-weighted feature terms at the last conv
+    ReLU, bilinearly upsampled and max-normalized to [0,1]. Stubs: "uniform"
+    (constant map, all ties) and "random" (noise drawn from `rng`, the
+    uninformative baseline).
+    """
+    if variant == "uniform":
+        return np.ones(spec.input_shape[1:], dtype=np.float64)
+    if variant == "random":
+        if rng is None:
+            raise ArgumentError("random saliency needs an rng")
+        return rng.random(spec.input_shape[1:])
     layer = cam_layer(spec)
     feats = trace.output(layer)
-    grad = gradient_wrt_layer(weights, spec, trace, layer, target_class)
-    alpha = grad.astype(np.float64).mean(axis=(1, 2))
     if variant == "act":
         terms = feats.astype(np.float64)
     elif variant == "onoff":
@@ -77,39 +87,13 @@ def cam_from_trace(weights, spec, trace: ForwardTrace, target_class: int,
     elif variant == "pathcount":
         terms = pathcount_forward(weights, spec, trace, clip).layer(layer)
     else:
-        raise ArgumentError(f"unknown CAM variant {variant!r}; choose from {CAM_VARIANTS}")
+        raise ArgumentError(
+            f"unknown variant {variant!r}; choose from {CAM_VARIANTS + STUB_VARIANTS}")
+    grad = gradient_wrt_layer(weights, spec, trace, layer, target_class)
+    alpha = grad.astype(np.float64).mean(axis=(1, 2))
     cam = np.maximum((alpha[:, None, None] * terms).sum(axis=0), 0.0)
     up = bilinear_resize(cam, spec.input_shape[1], spec.input_shape[2])
     return _normalize(np.maximum(up, 0.0))
-
-
-def grad_cam(
-    weights: dict[str, np.ndarray],
-    spec: ModelSpec,
-    x: np.ndarray,
-    target_class: int,
-    variant: str = "act",
-    clip: ClipConfig = ClipConfig(),
-) -> np.ndarray:
-    """cam_from_trace on a fresh forward trace of `x`."""
-    return cam_from_trace(weights, spec, forward(weights, spec, x), target_class, variant, clip)
-
-
-def saliency_map(weights, spec, x, target_class, variant, clip=ClipConfig(),
-                 rng: np.random.Generator | None = None) -> np.ndarray:
-    """grad_cam plus the evaluation stubs: "uniform" (constant map, all ties)
-    and "random" (seeded noise, the uninformative baseline)."""
-    if variant in CAM_VARIANTS:
-        return grad_cam(weights, spec, x, target_class, variant, clip)
-    if variant == "uniform":
-        return np.ones(spec.input_shape[1:], dtype=np.float64)
-    if variant == "random":
-        if rng is None:
-            raise ArgumentError("random saliency needs an rng")
-        return rng.random(spec.input_shape[1:])
-    raise ArgumentError(
-        f"unknown variant {variant!r}; choose from {CAM_VARIANTS + STUB_VARIANTS}"
-    )
 
 
 def perturb(x: np.ndarray, saliency: np.ndarray, fraction: float, order: str,
@@ -139,10 +123,7 @@ def _degrade_one(item, *, weights, spec, variant, fractions, clip, fill, seed):
     trace = forward(weights, spec, x)
     target = int(np.argmax(trace.logits))
     rng = np.random.default_rng((seed, i)) if variant == "random" else None
-    if variant in CAM_VARIANTS:
-        sal = cam_from_trace(weights, spec, trace, target, variant, clip)
-    else:
-        sal = saliency_map(weights, spec, x, target, variant, clip, rng)
+    sal = saliency_map(weights, spec, trace, target, variant, clip, rng)
     correct = np.zeros((2, len(fractions)), dtype=np.float64)
     for oi, order in enumerate(("morf", "lerf")):
         for fi, f in enumerate(fractions):
@@ -200,12 +181,9 @@ def _downscale2(x: np.ndarray) -> np.ndarray:
     return x.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
 
 
-def make_tiled(dataset: Dataset, n_samples: int, seed: int = 0,
-               per_tile_downscale: int = 2) -> list[TiledSample]:
+def make_tiled(dataset: Dataset, n_samples: int, seed: int = 0) -> list[TiledSample]:
     """Compose 2x2 grids of four images of pairwise-distinct classes, each
     downscaled 2x by area averaging, matching the source image size."""
-    if per_tile_downscale != 2:
-        raise ArgumentError("only 2x per-tile downscale is supported")
     if len(dataset) < 4:
         raise ArgumentError("need at least 4 images to tile")
     _, c, h, w = dataset.images.shape
@@ -248,12 +226,8 @@ def _tilematch_one(item, *, weights, spec, variant, clip):
     trace = forward(weights, spec, sample.image)
     inferred = []
     for t in range(4):
-        target = sample.labels[t]
-        if variant in CAM_VARIANTS:
-            sal = cam_from_trace(weights, spec, trace, target, variant, clip)
-        else:
-            rng = np.random.default_rng((i, t)) if variant == "random" else None
-            sal = saliency_map(weights, spec, sample.image, target, variant, clip, rng)
+        rng = np.random.default_rng((i, t)) if variant == "random" else None
+        sal = saliency_map(weights, spec, trace, sample.labels[t], variant, clip, rng)
         means = _tile_means(sal, sample.tile_hw)
         best = float(means.max())
         winners = np.nonzero(means == best)[0]

@@ -84,7 +84,12 @@ def _analysis_keys(out: str, **keys) -> dict:
             "clip_threshold": 0.0, "model": None, **keys}
 
 
-def _parse_config_file(path: str, defaults: dict) -> dict:
+def _option(command: str, key: str) -> dict:
+    """Argparse keywords of `key` as `command` declares it."""
+    return {**_OPTIONS[key], **_COMMANDS[command].overrides.get(key, {})}
+
+
+def _parse_config_file(path: str, command: str) -> dict:
     out = {}
     try:
         with open(path) as f:
@@ -99,12 +104,16 @@ def _parse_config_file(path: str, defaults: dict) -> dict:
             raise ArgumentError(f"{path}:{ln}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in defaults:
+        if key not in _COMMANDS[command].defaults:
             raise ArgumentError(f"{path}:{ln}: unknown key {key!r} for this command")
+        option = _option(command, key)
         try:
-            out[key] = _OPTIONS[key]["type"](value.strip())
+            out[key] = option["type"](value.strip())
         except ValueError as e:
             raise ArgumentError(f"{path}:{ln}: bad value for {key}: {e}") from e
+        if "choices" in option and out[key] not in option["choices"]:
+            raise ArgumentError(f"{path}:{ln}: bad value for {key}: {out[key]!r}; "
+                                f"choose from {', '.join(option['choices'])}")
     return out
 
 
@@ -117,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="flat key=value config file; flags override it")
         for key in command.defaults:
             p.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS,
-                           **{**_OPTIONS[key], **command.overrides.get(key, {})})
+                           **_option(name, key))
     return parser
 
 
@@ -125,7 +134,7 @@ def _merge_config(command: str, flags: dict) -> dict:
     cfg = dict(_COMMANDS[command].defaults)
     config_path = flags.pop("config", None)
     if config_path:
-        cfg.update(_parse_config_file(config_path, cfg))
+        cfg.update(_parse_config_file(config_path, command))
     cfg.update(flags)
     if cfg.get("workers", 1) < 1:
         raise ArgumentError(f"--workers must be >= 1, got {cfg['workers']}")
@@ -317,7 +326,7 @@ def cmd_cam(cfg: dict) -> int:
     target = cfg["target_class"]
     if target is None:
         target = int(np.argmax(trace.logits))
-    sal = cam_mod.cam_from_trace(weights, spec, trace, target, cfg["variant"], _clip(cfg))
+    sal = cam_mod.saliency_map(weights, spec, trace, target, cfg["variant"], _clip(cfg))
     out = _outdir(cfg, "cam")
     reports.write_pgm(os.path.join(out, "cam.pgm"), sal)
     reports.write_csv(os.path.join(out, "cam.csv"),
@@ -327,7 +336,7 @@ def cmd_cam(cfg: dict) -> int:
         "sample": cfg["sample"], "layer": cam_mod.cam_layer(spec),
     })
     print(f"target={target} layer={cam_mod.cam_layer(spec)} max_at="
-          f"{np.unravel_index(int(sal.argmax()), sal.shape)}")
+          f"{divmod(int(sal.argmax()), sal.shape[1])}")
     return 0
 
 

@@ -26,6 +26,11 @@ TRAIN_SMALL_FRACTION = 0.15
 DEFAULT_SMALL_RANGE = (0.45, 0.55)
 
 
+def _digit_box(scale: float) -> tuple[int, int]:
+    """Height and width of a digit drawn at `scale` of the nominal 20x12 box."""
+    return max(6, int(round(20 * scale))), max(4, int(round(12 * scale)))
+
+
 @dataclass(frozen=True)
 class Dataset:
     images: np.ndarray  # [N,C,H,W] float32 in [0,1]
@@ -207,8 +212,14 @@ def synthetic_digits(
     """
     if n < 1:
         raise ArgumentError("need at least one sample")
+    for lo, hi in [scale_range] + ([small_range] if small_fraction > 0.0 else []):
+        if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo <= hi):
+            raise ArgumentError(f"scale range ({lo}, {hi}) must be finite with 0 < min <= max")
+        box_h, box_w = _digit_box(hi)
+        if box_h > image_hw or box_w > image_hw:
+            raise ArgumentError(f"scale {hi} draws a {box_h}x{box_w} digit, larger than "
+                                f"the {image_hw}x{image_hw} image")
     rng = np.random.default_rng(seed)
-    base_h, base_w = 20, 12
     labels = (np.arange(n) % 10).astype(np.int64)
     rng.shuffle(labels)
     images = np.zeros((n, 1, image_hw, image_hw), dtype=np.float32)
@@ -217,8 +228,7 @@ def synthetic_digits(
             s = rng.uniform(small_range[0], small_range[1])
         else:
             s = rng.uniform(scale_range[0], scale_range[1])
-        box_h = max(6, int(round(base_h * s)))
-        box_w = max(4, int(round(base_w * s)))
+        box_h, box_w = _digit_box(s)
         mask = _digit_mask(int(labels[i]), box_h, box_w, rng, thickness_jitter)
         if shear_max > 0.0:
             mask = _shear_rows(mask, rng.uniform(-shear_max, shear_max))

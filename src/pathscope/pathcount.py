@@ -42,8 +42,8 @@ class ClipConfig:
     def __post_init__(self):
         if self.mode not in ("absolute", "mean"):
             raise ArgumentError(f"clip mode must be 'absolute' or 'mean', got {self.mode!r}")
-        if self.threshold < 0:
-            raise ArgumentError(f"clip threshold must be >= 0, got {self.threshold}")
+        if not (np.isfinite(self.threshold) and self.threshold >= 0):
+            raise ArgumentError(f"clip threshold must be finite and >= 0, got {self.threshold}")
 
     def resolve_threshold(self, weights: np.ndarray) -> float:
         if self.mode == "mean":

@@ -73,21 +73,6 @@ def _layer_kind(spec: ModelSpec, layer: str) -> str:
     return resolve(spec)[layer_index(layer_names(spec), layer)].spec.kind
 
 
-def _replaced_activation(
-    trace: ForwardTrace, layer: str, kind: str, counts: PathCountMap | None
-) -> np.ndarray:
-    act = trace.output(layer)
-    if kind == "identity":
-        return act
-    if kind == "scaled_onoff":
-        return scaled_onoff(act, (act > 0).astype(np.float64))
-    if kind == "scaled_pathcount":
-        return scaled_pathcount(act, counts.layer(layer))
-    if kind == "signed_scaled_pathcount":
-        return signed_scaled_pathcount(act, counts.layer(layer))
-    raise ArgumentError(f"unknown replacement kind {kind!r}; choose from {REPLACEMENT_KINDS}")
-
-
 def _check_site(spec: ModelSpec, layer: str, kind: str) -> None:
     if kind not in REPLACEMENT_KINDS:
         raise ArgumentError(f"unknown replacement kind {kind!r}; choose from {REPLACEMENT_KINDS}")
@@ -103,17 +88,26 @@ def _check_site(spec: ModelSpec, layer: str, kind: str) -> None:
 def replace_and_infer(
     weights: dict[str, np.ndarray],
     spec: ModelSpec,
-    x: np.ndarray,
+    trace: ForwardTrace,
     layer: str,
     kind: str,
-    clip: ClipConfig = ClipConfig(),
+    counts: PathCountMap | None = None,
 ) -> np.ndarray:
-    """Forward to `layer`, substitute its output per `kind`, finish forward."""
+    """Resume inference from `trace` with `layer`'s output substituted per
+    `kind`. The path-count kinds read `counts`, the trace's pathcount_forward."""
     _check_site(spec, layer, kind)
-    trace = forward(weights, spec, x)
-    counts = pathcount_forward(weights, spec, trace, clip) if kind in _NEEDS_COUNTS else None
-    replaced = _replaced_activation(trace, layer, kind, counts)
-    return forward_from_layer(weights, spec, layer, replaced.astype(trace.output(layer).dtype))
+    act = trace.output(layer)
+    if kind == "identity":
+        replaced = act
+    elif kind == "scaled_onoff":
+        replaced = scaled_onoff(act, (act > 0).astype(np.float64))
+    elif counts is None:
+        raise ArgumentError(f"{kind} needs the path counts of the trace")
+    elif kind == "scaled_pathcount":
+        replaced = scaled_pathcount(act, counts.layer(layer))
+    else:
+        replaced = signed_scaled_pathcount(act, counts.layer(layer))
+    return forward_from_layer(weights, spec, layer, replaced.astype(act.dtype))
 
 
 @dataclass(frozen=True)
@@ -148,10 +142,7 @@ def _sweep_one(x, *, weights, spec, layers, kinds, clip):
     preds = {}
     for layer in layers:
         for kind in kinds:
-            replaced = _replaced_activation(trace, layer, kind, counts)
-            logits = forward_from_layer(
-                weights, spec, layer, replaced.astype(trace.output(layer).dtype)
-            )
+            logits = replace_and_infer(weights, spec, trace, layer, kind, counts)
             preds[(layer, kind)] = int(np.argmax(logits))
     ratios = {layer: on_ratio(pattern, layer) for layer in layers}
     return base_pred, preds, ratios
@@ -169,6 +160,8 @@ def sweep(
     if len(dataset) == 0:
         raise ArgumentError("cannot sweep an empty dataset")
     kinds = tuple(kinds)
+    if not kinds:
+        raise ArgumentError("no replacement kinds given")
     layers = replaceable_layers(spec)
     for kind in kinds:
         for layer in layers:

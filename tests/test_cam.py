@@ -21,7 +21,6 @@ from pathscope import (
     fc,
     flatten,
     forward,
-    grad_cam,
     gradient_wrt_layer,
     make_tiled,
     maxpool,
@@ -71,7 +70,7 @@ def test_averaging_head_weights_channel_by_inverse_area():
     np.testing.assert_allclose(grad, np.full((1, 4, 4), 1.0 / 16), atol=1e-7)
     # alpha = mean(grad) = 1/(H*W); the act-CAM is then the activation itself,
     # rescaled to peak at 1
-    cam = grad_cam(weights, spec, x, 0, "act")
+    cam = saliency_map(weights, spec, trace, 0, "act")
     np.testing.assert_allclose(cam, x[0] / x[0].max(), atol=1e-6)
     assert cam.argmax() == x[0].argmax()
 
@@ -79,14 +78,16 @@ def test_averaging_head_weights_channel_by_inverse_area():
 def test_negative_alpha_gives_all_zero_map():
     spec, weights = delta_net()
     x = np.random.default_rng(1).random((1, 4, 4), dtype=np.float32)
-    cam = grad_cam(weights, spec, x, 1, "act")  # head row 1 is negative
+    trace = forward(weights, spec, x)
+    cam = saliency_map(weights, spec, trace, 1, "act")  # head row 1 is negative
     np.testing.assert_array_equal(cam, np.zeros((4, 4)))
 
 
 def test_onoff_variant_is_binary_for_single_channel():
     spec, weights = delta_net()
     x = np.random.default_rng(2).normal(size=(1, 4, 4)).astype(np.float32)
-    cam = grad_cam(weights, spec, x, 0, "onoff")
+    trace = forward(weights, spec, x)
+    cam = saliency_map(weights, spec, trace, 0, "onoff")
     assert set(np.unique(cam)) <= {0.0, 1.0}
     np.testing.assert_array_equal(cam, (x[0] > 0).astype(np.float64))
 
@@ -94,16 +95,18 @@ def test_onoff_variant_is_binary_for_single_channel():
 def test_pathcount_variant_on_delta_kernel_is_flat():
     spec, weights = delta_net()
     x = np.random.default_rng(3).random((1, 4, 4), dtype=np.float32) + 0.1
+    trace = forward(weights, spec, x)
     # every feature position keeps exactly one active path (its own pixel)
-    cam = grad_cam(weights, spec, x, 0, "pathcount")
+    cam = saliency_map(weights, spec, trace, 0, "pathcount")
     np.testing.assert_array_equal(cam, np.ones((4, 4)))
 
 
 def test_cam_is_normalized_and_input_sized(conv_net):
     spec, weights = conv_net
     x = np.random.default_rng(4).random((1, 8, 8), dtype=np.float32)
+    trace = forward(weights, spec, x)
     for variant in ("act", "onoff", "pathcount"):
-        cam = grad_cam(weights, spec, x, 2, variant)
+        cam = saliency_map(weights, spec, trace, 2, variant)
         assert cam.shape == (8, 8)
         assert cam.min() >= 0.0
         assert cam.max() == pytest.approx(1.0) or cam.max() == 0.0
@@ -112,26 +115,28 @@ def test_cam_is_normalized_and_input_sized(conv_net):
 def test_variant_and_class_validation(conv_net):
     spec, weights = conv_net
     x = np.zeros((1, 8, 8), dtype=np.float32)
+    trace = forward(weights, spec, x)
     with pytest.raises(ArgumentError):
-        grad_cam(weights, spec, x, 4, "act")
+        saliency_map(weights, spec, trace, 4, "act")
     with pytest.raises(ArgumentError):
-        grad_cam(weights, spec, x, -1, "act")
+        saliency_map(weights, spec, trace, -1, "act")
     with pytest.raises(ArgumentError):
-        grad_cam(weights, spec, x, 0, "gradient")
+        saliency_map(weights, spec, trace, 0, "gradient")
     with pytest.raises(ArgumentError):
-        saliency_map(weights, spec, x, 0, "random")  # rng is mandatory
+        saliency_map(weights, spec, trace, 0, "random")  # rng is mandatory
     with pytest.raises(ArgumentError):
-        saliency_map(weights, spec, x, 0, "blur")
+        saliency_map(weights, spec, trace, 0, "blur")
 
 
 def test_saliency_stubs(conv_net):
     spec, weights = conv_net
     x = np.zeros((1, 8, 8), dtype=np.float32)
-    np.testing.assert_array_equal(saliency_map(weights, spec, x, 0, "uniform"),
+    trace = forward(weights, spec, x)
+    np.testing.assert_array_equal(saliency_map(weights, spec, trace, 0, "uniform"),
                                   np.ones((8, 8)))
     rng = np.random.default_rng(5)
-    r1 = saliency_map(weights, spec, x, 0, "random", rng=np.random.default_rng(5))
-    r2 = saliency_map(weights, spec, x, 0, "random", rng=np.random.default_rng(5))
+    r1 = saliency_map(weights, spec, trace, 0, "random", rng=np.random.default_rng(5))
+    r2 = saliency_map(weights, spec, trace, 0, "random", rng=np.random.default_rng(5))
     np.testing.assert_array_equal(r1, r2)
     assert r1.shape == (8, 8)
 
@@ -334,8 +339,6 @@ def test_tiled_validation():
                    np.arange(3, dtype=np.int64), 5)
     with pytest.raises(ArgumentError, match="at least 4"):
         make_tiled(tiny, 1)
-    with pytest.raises(ArgumentError, match="downscale"):
-        make_tiled(class_coded_dataset(), 1, per_tile_downscale=4)
 
 
 def test_uniform_saliency_never_matches(conv_net):
@@ -352,7 +355,7 @@ def test_perfect_localizer_scores_one(conv_net, monkeypatch):
     tiles = make_tiled(ds, 8, seed=2)
     control_tiles = make_tiled(ds, 120, seed=5)
 
-    def oracle_cam(weights, spec, trace, target_class, variant, clip):
+    def oracle_cam(weights, spec, trace, target_class, variant, clip, rng):
         sample = next(s for s in tiles + control_tiles
                       if np.array_equal(s.image, trace.input))
         t = sample.labels.index(target_class)
@@ -361,7 +364,7 @@ def test_perfect_localizer_scores_one(conv_net, monkeypatch):
         sal[r * 4:(r + 1) * 4, c * 4:(c + 1) * 4] = 1.0
         return sal
 
-    monkeypatch.setattr(cam_mod, "cam_from_trace", oracle_cam)
+    monkeypatch.setattr(cam_mod, "saliency_map", oracle_cam)
     assert target_matching_accuracy(weights, spec, tiles, "act") == 1.0
     # the shuffled-target control degrades the same oracle to chance level
     control = target_matching_accuracy(weights, spec, control_tiles,

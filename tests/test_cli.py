@@ -5,6 +5,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -301,6 +302,25 @@ def test_workers_below_one_exits_2(conv_fixture, tmp_path, capsys, workers):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, args", [
+    ("eval", ["--synthetic", "--scale-max", "3"]),
+    ("eval", ["--synthetic", "--scale-min", "nan"]),
+    ("eval", ["--synthetic", "--scale-min", "1.0", "--scale-max", "0.9"]),
+    ("replace-sweep", ["--clip-threshold", "nan"]),
+    ("replace-sweep", ["--kinds", ","]),
+])
+def test_bad_numeric_or_empty_value_exits_2(conv_fixture, desk_fixture, tmp_path, capsys,
+                                            command, args):
+    model, images, labels = conv_fixture
+    if "--synthetic" in args:  # 28x28 digits need the desk model
+        inputs = ["--model", desk_fixture, "--synthetic-n", "4"]
+    else:
+        inputs = ["--model", model, "--data-images", images, "--data-labels", labels]
+    assert run(command, *inputs, *args, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_bad_kind_exits_2(conv_fixture, tmp_path):
     model, images, labels = conv_fixture
     assert run("replace-sweep", "--model", model, "--data-images", images,
@@ -352,6 +372,15 @@ def test_cam_outputs(conv_fixture, tmp_path):
     assert blob["target_class"] == 2
     assert blob["variant"] == "onoff"
     assert blob["layer"] == "conv1.relu"
+
+
+def test_cam_prints_plain_ints(conv_fixture, tmp_path, capsys):
+    model, images, labels = conv_fixture
+    assert run("cam", "--model", model, "--data-images", images,
+               "--data-labels", labels, "--out", str(tmp_path / "o")) == 0
+    out = capsys.readouterr().out
+    assert "np." not in out
+    assert re.search(r"max_at=\(\d+, \d+\)$", out.strip())
 
 
 def test_cam_defaults_to_predicted_class(conv_fixture, tmp_path):
@@ -472,3 +501,31 @@ def test_every_flag_is_a_config_key_with_the_same_value(tmp_path, command):
             resolved.append({k: (type(v), v) for k, v in _merge_config(command, flags).items()})
         assert resolved[0] == resolved[1], action.dest
         assert resolved[0][action.dest][1] != _merge_config(command, {})[action.dest]
+
+
+def _choice_cases():
+    """(command, key, value) for every option with choices, each value outside
+    that command's choices: a nonsense word, plus any value another command
+    allows for the same key."""
+    parsers = _command_parsers()
+    allowed = {}
+    for parser in parsers.values():
+        for a in parser._actions:
+            if a.choices:
+                allowed.setdefault(a.dest, set()).update(a.choices)
+    return [(command, a.dest, value)
+            for command, parser in sorted(parsers.items()) for a in parser._actions
+            if a.choices
+            for value in ["huge", *sorted(allowed[a.dest] - set(a.choices))]]
+
+
+@pytest.mark.parametrize("command, key, value", _choice_cases())
+def test_config_value_outside_choices_exits_2(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert run(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(SystemExit) as flag_exit:
+        run(command, "--" + key.replace("_", "-"), value)
+    assert flag_exit.value.code == 2

@@ -119,6 +119,30 @@ def test_digits_deterministic_and_bounded():
     assert set(np.unique(a.labels)) <= set(range(10))
 
 
+@pytest.mark.parametrize("scale_range", [(float("nan"), 1.0), (0.8, float("inf")),
+                                         (0.0, 1.0), (-0.5, 1.0), (1.0, 0.8), (0.8, 3.0)])
+def test_digits_reject_bad_scale_range(scale_range):
+    with pytest.raises(ArgumentError, match="scale"):
+        ps.synthetic_digits(4, seed=0, scale_range=scale_range)
+
+
+def test_digits_reject_bad_small_range_only_when_used():
+    ps.synthetic_digits(4, seed=0, small_range=(1.0, 0.5))
+    with pytest.raises(ArgumentError, match="scale"):
+        ps.synthetic_digits(4, seed=0, small_fraction=0.5, small_range=(1.0, 0.5))
+
+
+def test_digit_box_may_fill_but_not_exceed_the_image():
+    # scale 1.4 draws a 28x17 box: it fits 28x28 exactly, but not 27x27
+    ds = ps.synthetic_digits(20, seed=0, scale_range=(1.4, 1.4))
+    assert ds.images.shape == (20, 1, 28, 28)
+    with pytest.raises(ArgumentError, match="larger than the 27x27 image"):
+        ps.synthetic_digits(20, seed=0, image_hw=27, scale_range=(1.4, 1.4))
+    # the smallest box is 6x4, whatever the scale
+    with pytest.raises(ArgumentError, match="larger than"):
+        ps.synthetic_digits(4, seed=0, image_hw=5, scale_range=(0.1, 0.1))
+
+
 def test_digits_classes_distinguishable_by_shape():
     from pathscope.data import _digit_mask
 

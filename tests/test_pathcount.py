@@ -175,6 +175,12 @@ def test_clip_config_validation():
         ClipConfig("median")
     with pytest.raises(ArgumentError):
         ClipConfig("absolute", -0.1)
+    # nan < 0 is False, so a plain sign check would let nan through and clip
+    # every fc weight away
+    for threshold in (float("nan"), float("inf")):
+        for mode in ("absolute", "mean"):
+            with pytest.raises(ArgumentError, match="finite"):
+                ClipConfig(mode, threshold)
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0))

@@ -23,6 +23,7 @@ from pathscope import (
     forward,
     maxpool,
     model_digest,
+    pathcount_forward,
     relu,
     replace_and_infer,
     replaceable_layers,
@@ -134,8 +135,9 @@ def test_identity_replacement_is_bitwise_transparent(small_net):
     spec, weights = small_net
     x = np.random.default_rng(0).random((1, 6, 6), dtype=np.float32)
     base = forward(weights, spec, x).logits
+    trace = forward(weights, spec, x)
     for r_name in [r.name for r in resolve(spec)]:
-        out = replace_and_infer(weights, spec, x, r_name, "identity")
+        out = replace_and_infer(weights, spec, trace, r_name, "identity")
         np.testing.assert_array_equal(out, base)
 
 
@@ -143,7 +145,8 @@ def test_scaled_onoff_changes_logits_in_general(small_net):
     spec, weights = small_net
     x = np.random.default_rng(1).random((1, 6, 6), dtype=np.float32)
     base = forward(weights, spec, x).logits
-    out = replace_and_infer(weights, spec, x, "conv1.relu", "scaled_onoff")
+    out = replace_and_infer(weights, spec, forward(weights, spec, x), "conv1.relu",
+                            "scaled_onoff")
     assert out.shape == base.shape
     assert not np.array_equal(out, base)
 
@@ -151,26 +154,51 @@ def test_scaled_onoff_changes_logits_in_general(small_net):
 def test_replacement_site_rules(small_net):
     spec, weights = small_net
     x = np.zeros((1, 6, 6), dtype=np.float32)
+    trace = forward(weights, spec, x)
+    counts = pathcount_forward(weights, spec, trace)
     with pytest.raises(ArgumentError, match="ReLU"):
-        replace_and_infer(weights, spec, x, "conv1.conv", "scaled_onoff")
+        replace_and_infer(weights, spec, trace, "conv1.conv", "scaled_onoff")
     with pytest.raises(ArgumentError, match="ReLU"):
-        replace_and_infer(weights, spec, x, "pool1", "scaled_pathcount")
+        replace_and_infer(weights, spec, trace, "pool1", "scaled_pathcount", counts)
     with pytest.raises(ArgumentError):
-        replace_and_infer(weights, spec, x, "pool1", "signed_scaled_pathcount")
+        replace_and_infer(weights, spec, trace, "pool1", "signed_scaled_pathcount", counts)
     # the signed variant may target conv pre-activations
-    out = replace_and_infer(weights, spec, x, "conv1.conv", "signed_scaled_pathcount")
+    out = replace_and_infer(weights, spec, trace, "conv1.conv", "signed_scaled_pathcount",
+                            counts)
     assert out.shape == (3,)
     with pytest.raises(ArgumentError, match="unknown replacement kind"):
-        replace_and_infer(weights, spec, x, "conv1.relu", "negated")
+        replace_and_infer(weights, spec, trace, "conv1.relu", "negated")
     with pytest.raises(ArgumentError, match="no layer named"):
-        replace_and_infer(weights, spec, x, "conv7.relu", "identity")
+        replace_and_infer(weights, spec, trace, "conv7.relu", "identity")
+
+
+@pytest.mark.parametrize("kind", ["scaled_pathcount", "signed_scaled_pathcount"])
+def test_pathcount_kinds_need_counts(small_net, kind):
+    spec, weights = small_net
+    trace = forward(weights, spec, np.ones((1, 6, 6), dtype=np.float32))
+    with pytest.raises(ArgumentError, match="path counts"):
+        replace_and_infer(weights, spec, trace, "conv1.relu", kind)
+
+
+def test_replacement_leaves_the_trace_unchanged(small_net):
+    spec, weights = small_net
+    x = np.random.default_rng(2).random((1, 6, 6), dtype=np.float32)
+    trace = forward(weights, spec, x)
+    before = {k: v.copy() for k, v in trace.outputs.items()}
+    counts = pathcount_forward(weights, spec, trace)
+    for kind in REPLACEMENT_KINDS:
+        replace_and_infer(weights, spec, trace, "conv1.relu", kind, counts)
+    for k, v in before.items():
+        np.testing.assert_array_equal(trace.outputs[k], v)
 
 
 def test_dead_input_keeps_zero_logits_zero(small_net):
     spec, weights = small_net
     x = np.zeros((1, 6, 6), dtype=np.float32)  # no bias terms: everything stays 0
+    trace = forward(weights, spec, x)
+    counts = pathcount_forward(weights, spec, trace)
     for kind in REPLACEMENT_KINDS:
-        out = replace_and_infer(weights, spec, x, "conv1.relu", kind)
+        out = replace_and_infer(weights, spec, trace, "conv1.relu", kind, counts)
         np.testing.assert_array_equal(out, np.zeros(3, dtype=np.float32))
 
 
@@ -219,6 +247,8 @@ def test_sweep_rejects_bad_kind(small_net, small_batch):
     spec, weights = small_net
     with pytest.raises(ArgumentError):
         sweep(weights, spec, small_batch, kinds=("identity", "negated"))
+    with pytest.raises(ArgumentError, match="no replacement kinds"):
+        sweep(weights, spec, small_batch, kinds=())
 
 
 def test_sweep_is_worker_count_invariant(small_net, small_batch):
@@ -239,9 +269,11 @@ def test_sweep_clip_config_is_recorded_and_applied(small_net, small_batch):
     # renormalized count map (and hence the resumed logits) must shift
     diffs = []
     for x in small_batch.images:
-        a = replace_and_infer(weights, spec, x, "fc1.relu", "scaled_pathcount")
-        b = replace_and_infer(weights, spec, x, "fc1.relu", "scaled_pathcount",
-                              clip=ClipConfig("mean"))
+        trace = forward(weights, spec, x)
+        a = replace_and_infer(weights, spec, trace, "fc1.relu", "scaled_pathcount",
+                              pathcount_forward(weights, spec, trace))
+        b = replace_and_infer(weights, spec, trace, "fc1.relu", "scaled_pathcount",
+                              pathcount_forward(weights, spec, trace, ClipConfig("mean")))
         diffs.append(not np.array_equal(a, b))
     assert any(diffs)
 
