@@ -212,6 +212,8 @@ def synthetic_digits(
     """
     if n < 1:
         raise ArgumentError("need at least one sample")
+    if not 0.0 <= small_fraction <= 1.0:
+        raise ArgumentError(f"small fraction must be in [0, 1], got {small_fraction}")
     for lo, hi in [scale_range] + ([small_range] if small_fraction > 0.0 else []):
         if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo <= hi):
             raise ArgumentError(f"scale range ({lo}, {hi}) must be finite with 0 < min <= max")

@@ -344,8 +344,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ArgumentError(f"learning rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ArgumentError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ArgumentError(f"epochs/batch size must be >= 1, got {self.epochs}/{self.batch_size}")
 

@@ -115,6 +115,17 @@ def test_exploding_training_exits_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "nan"), ("--lr", "inf"),
+    ("--small-fraction", "-0.1"), ("--small-fraction", "1.5"), ("--small-fraction", "nan"),
+])
+def test_bad_train_value_exits_2_before_writing(tmp_path, capsys, flag, value):
+    assert run("train", "--synthetic", "--synthetic-n", "50", "--epochs", "1", flag, value,
+               "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # dataset and model resolution failures
 # ---------------------------------------------------------------------------

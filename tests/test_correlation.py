@@ -2,7 +2,8 @@
 and the layerwise representation-vs-counts pipeline.
 
 `tau_b_naive` recomputes tau-b straight from its definition — every pair,
-O(n^2) — and pins the production implementation to it on tie-heavy vectors.
+O(n^2) — and pins the production implementation to it on tie-heavy vectors;
+the discordant-pair count `_inversions` is pinned to an all-pairs count too.
 """
 
 import math
@@ -17,6 +18,7 @@ from pathscope import (
     ClipConfig,
     Dataset,
     ModelSpec,
+    NumericalError,
     UndefinedCorrelationError,
     aggregate_tau,
     conv,
@@ -28,7 +30,7 @@ from pathscope import (
     maxpool,
     relu,
 )
-from pathscope.correlation import TAU_CSV_HEADER, correlated_layers, tau_csv_rows
+from pathscope.correlation import TAU_CSV_HEADER, _inversions, correlated_layers, tau_csv_rows
 from pathscope.model import build_model
 from pathscope.pathcount import pathcount_forward
 
@@ -99,6 +101,37 @@ def test_argument_validation():
         kendall_tau_b([], [])
 
 
+def test_nan_input_raises_and_infinities_are_ordered():
+    with pytest.raises(NumericalError, match="NaN"):
+        kendall_tau_b([1, 2, math.nan, 4], [1, 2, 3, 4])
+    with pytest.raises(NumericalError, match="NaN"):
+        kendall_tau_b([1, 2, 3, 4], [1, math.nan, 3, 4])
+    inf = math.inf
+    assert kendall_tau_b([-inf, -1e300, 0.0, 1e300, inf], [1, 2, 3, 4, 5]) == 1.0
+    assert kendall_tau_b([inf, 1.0, -inf], [1, 2, 3]) == -1.0
+
+
+# a few values per draw so ties are common; -0.0 and 0.0 are one value
+_TIE_PRONE = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 1e300, -1e300,
+                              np.nextafter(1e300, 0.0), math.inf, -math.inf])
+_ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.one_of(_TIE_PRONE, _ANY_FINITE), max_size=300),
+       st.sampled_from(["as drawn", "sorted", "reversed", "all equal"]))
+@settings(max_examples=200, deadline=None)
+def test_inversions_match_pair_count(values, arrangement):
+    a = np.array(values, dtype=np.float64)
+    if arrangement == "sorted":
+        a = np.sort(a)
+    elif arrangement == "reversed":
+        a = np.sort(a)[::-1]
+    elif arrangement == "all equal" and a.size:
+        a = np.full(a.size, a[0])
+    i, j = np.triu_indices(a.size, 1)
+    assert _inversions(a) == int((a[i] > a[j]).sum())
+
+
 @given(st.lists(st.integers(0, 4), min_size=2, max_size=25),
        st.data())
 @settings(max_examples=150, deadline=None)
@@ -117,6 +150,20 @@ def test_matches_scipy_on_long_tied_vectors():
         y = rng.integers(0, 6, n).astype(np.float64)
         if len(np.unique(x)) < 2 or len(np.unique(y)) < 2:
             continue
+        ref = float(scipy_stats.kendalltau(x, y, variant="b").statistic)
+        assert kendall_tau_b(x, y) == pytest.approx(ref, abs=1e-12)
+
+
+def test_matches_scipy_at_desk_layer_size():
+    # n = 8 channels x 28 x 28, the desk model's conv1 layer
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(21)
+    n = 6272
+    rep = rng.standard_normal(n)
+    untied = rep + rng.standard_normal(n)
+    relu_rep = np.maximum(rep, 0.0)  # about half the entries tie at zero
+    counts = np.where(relu_rep > 0, rng.integers(1, 6, n), 0).astype(np.float64)
+    for x, y in [(rep, untied), (relu_rep, counts)]:
         ref = float(scipy_stats.kendalltau(x, y, variant="b").statistic)
         assert kendall_tau_b(x, y) == pytest.approx(ref, abs=1e-12)
 

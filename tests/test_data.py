@@ -132,6 +132,17 @@ def test_digits_reject_bad_small_range_only_when_used():
         ps.synthetic_digits(4, seed=0, small_fraction=0.5, small_range=(1.0, 0.5))
 
 
+@pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+def test_digits_reject_small_fraction_outside_unit_interval(fraction):
+    with pytest.raises(ArgumentError, match="small fraction"):
+        ps.synthetic_digits(4, seed=0, small_fraction=fraction)
+
+
+def test_digits_small_fraction_bounds_are_allowed():
+    for fraction in (0.0, 1.0):
+        assert len(ps.synthetic_digits(4, seed=0, small_fraction=fraction)) == 4
+
+
 def test_digit_box_may_fill_but_not_exceed_the_image():
     # scale 1.4 draws a 28x17 box: it fits 28x28 exactly, but not 27x27
     ds = ps.synthetic_digits(20, seed=0, scale_range=(1.4, 1.4))
