@@ -8,6 +8,25 @@ end (the finite-difference tests rely on that shadow path).
 Every tensor op takes a leading batch axis; a single sample is a batch of
 one (`x[None]` in, `[0]` out), so per-sample analyses and training share
 the same kernels.
+
+Convolution is lowered channel-major (im2col in the layout cuDNN uses): a
+strided view [B,C,k,k,OH,OW] of the padded input gives float64 columns with
+rows in (c, ky, kx) order, matching `kernels.reshape(C_out, -1)`, so forward
+is `W @ cols` straight into [B, C_out, OH*OW] and backward's grad-input is
+`W.T @ grad` in the same layout, added back one (ky, kx) slice at a time.
+Columns are built and multiplied _CONV_BLOCK images at a time, which keeps
+each block's working set in cache; every image is its own matmul, so a row's
+result does not depend on the batch it came in. The kernel gradient stays
+one float64 contraction over the whole batch; einsum takes it over
+receptive-field rows [B, OH*OW, C*k*k], whose strides fix its summation order.
+
+Max pooling walks the window offsets over strided views. An element takes
+its window when it is strictly greater than the running maximum, or is the
+window's first NaN (np.argmax's rule), so ties, 0.0 beside -0.0 included,
+keep the first element in row-major window order; the values are gathered
+through the routing, so the winner's sign survives. Pool backward sums the
+routed gradients per input position in routing order, so overlapping windows
+(stride < window) that route two outputs to one input add both.
 """
 
 from __future__ import annotations
@@ -17,6 +36,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError, ShapeError
 
+# Images per block of the conv lowering: 4 images of 8-channel 28x28 float64
+# columns (~1.8 MB) stay cache-resident while their matmul reads them.
+_CONV_BLOCK = 4
+
 
 def conv_output_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tuple[int, int]:
     """Spatial output extents of a cross-correlation with zero padding."""
@@ -25,25 +48,33 @@ def conv_output_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tu
     return oh, ow
 
 
-def _im2col(x_padded, kernel, stride):
-    # [B,C,Hp,Wp] -> ([B, OH*OW, C*k*k], OH, OW); each row is one receptive field.
+def _pad(x, padding):
+    # A zeros buffer with x assigned to its interior; np.pad costs ~10x more
+    # at batch 1, where the analyses call conv thousands of times.
+    if not padding:
+        return x
+    b, c, h, w = x.shape
+    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    return xp
+
+
+def _windows(x_padded, kernel, stride):
+    # [B,C,Hp,Wp] -> strided view [B,C,k,k,OH,OW]: (c,ky,kx) rows follow
+    # kernels.reshape(C_out, -1), (oy,ox) columns follow the output grid.
     win = sliding_window_view(x_padded, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    b, c, oh, ow = win.shape[:4]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh * ow, c * kernel * kernel)
-    return cols, oh, ow
+    return win.transpose(0, 1, 4, 5, 2, 3)
 
 
-def _col2im(cols, padded_shape, kernel, stride):
-    # Scatter-add receptive-field columns back onto the padded image grid.
-    b, c, hp, wp = padded_shape
-    oh = (hp - kernel) // stride + 1
-    ow = (wp - kernel) // stride + 1
-    img = np.zeros(padded_shape, dtype=np.float64)
-    patches = cols.reshape(b, oh, ow, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
-    for ky in range(kernel):
-        for kx in range(kernel):
-            img[:, :, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += patches[:, :, ky, kx]
-    return img
+def _column_blocks(win):
+    """Yield (start, float64 columns [n, C*k*k, OH*OW]) for blocks of
+    _CONV_BLOCK images, reusing one buffer."""
+    b, c, k, _, oh, ow = win.shape
+    buf = np.empty((min(b, _CONV_BLOCK), c, k, k, oh, ow))
+    for start in range(0, b, _CONV_BLOCK):
+        cols = buf[:min(_CONV_BLOCK, b - start)]
+        cols[...] = win[start:start + len(cols)]
+        yield start, cols.reshape(len(cols), c * k * k, oh * ow)
 
 
 def _check_conv_shapes(x, kernels, stride, padding):
@@ -67,31 +98,43 @@ def _check_conv_shapes(x, kernels, stride, padding):
 def conv2d_forward_batch(x, kernels, stride: int = 1, padding: int = 0):
     """Bias-free cross-correlation of [B,C,H,W] with [C_out,C,k,k] kernels."""
     _check_conv_shapes(x, kernels, stride, padding)
-    k = kernels.shape[2]
     c_out = kernels.shape[0]
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
-    cols, oh, ow = _im2col(xp, k, stride)
+    win = _windows(_pad(x, padding), kernels.shape[2], stride)
+    b, oh, ow = x.shape[0], win.shape[4], win.shape[5]
     wm = kernels.reshape(c_out, -1).astype(np.float64, copy=False)
-    y = cols.astype(np.float64, copy=False) @ wm.T
-    y = y.transpose(0, 2, 1).reshape(x.shape[0], c_out, oh, ow)
-    return np.ascontiguousarray(y).astype(x.dtype, copy=False)
+    y = np.empty((b, c_out, oh * ow))
+    for start, cols in _column_blocks(win):
+        np.matmul(wm, cols, out=y[start:start + len(cols)])
+    return y.reshape(b, c_out, oh, ow).astype(x.dtype, copy=False)
 
 
 def conv2d_backward_batch(x, kernels, stride, padding, grad_out):
     """Gradients of conv2d wrt input and kernels for an upstream [B,C_out,OH,OW] grad."""
     _check_conv_shapes(x, kernels, stride, padding)
-    k = kernels.shape[2]
-    c_out = kernels.shape[0]
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
-    cols, oh, ow = _im2col(xp, k, stride)
-    if grad_out.shape != (x.shape[0], c_out, oh, ow):
-        raise ShapeError(f"upstream grad shape {grad_out.shape} != {(x.shape[0], c_out, oh, ow)}")
-    g = grad_out.reshape(x.shape[0], c_out, oh * ow).transpose(0, 2, 1).astype(np.float64, copy=False)
-    cols64 = cols.astype(np.float64, copy=False)
-    grad_w = np.einsum("bnc,bnk->ck", g, cols64).reshape(kernels.shape).astype(kernels.dtype, copy=False)
-    wm = kernels.reshape(c_out, -1).astype(np.float64, copy=False)
-    grad_cols = g @ wm
-    gxp = _col2im(grad_cols, xp.shape, k, stride)
+    c_out, c, k, _ = kernels.shape
+    xp = _pad(x, padding)
+    win = _windows(xp, k, stride)
+    b, oh, ow = x.shape[0], win.shape[4], win.shape[5]
+    if grad_out.shape != (b, c_out, oh, ow):
+        raise ShapeError(f"upstream grad shape {grad_out.shape} != {(b, c_out, oh, ow)}")
+    g = grad_out.reshape(b, c_out, oh * ow).astype(np.float64, copy=False)
+    wm_t = kernels.reshape(c_out, -1).astype(np.float64, copy=False).T
+    rows = np.empty((b, oh * ow, c * k * k))
+    gxp = np.zeros(xp.shape)
+    for start, cols in _column_blocks(win):
+        stop = start + len(cols)
+        rows[start:stop] = cols.transpose(0, 2, 1)
+        grad_cols = np.matmul(wm_t, g[start:stop], out=cols)  # block buffer, now free
+        grad_cols = grad_cols.reshape(len(cols), c, k, k, oh, ow)
+        img = gxp[start:stop]
+        for ky in range(k):
+            for kx in range(k):
+                img[:, :, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += grad_cols[:, :, ky, kx]
+    # einsum picks its summation order from its operands' strides; rows
+    # [B, OH*OW, C*k*k] keep the order saved models were trained with, so
+    # retraining reproduces them bit for bit.
+    grad_w = np.einsum("bnc,bnk->ck", g.transpose(0, 2, 1), rows)
+    grad_w = grad_w.reshape(kernels.shape).astype(kernels.dtype, copy=False)
     if padding:
         gxp = gxp[:, :, padding:-padding, padding:-padding]
     return gxp.astype(x.dtype, copy=False), grad_w
@@ -110,36 +153,49 @@ def maxpool_forward_batch(x, window: int, stride: int):
 
     Routing entries are flat indices into each sample's [C,H,W] block; ties
     resolve to the lowest flat index (first occurrence in row-major window
-    order), which keeps path routing deterministic.
+    order), which keeps path routing deterministic. As with np.argmax, the
+    first NaN in a window wins it.
     """
     if x.ndim != 4:
         raise ShapeError(f"maxpool expects 4-d input, got {x.shape}")
     if window < 1 or stride < 1:
         raise ArgumentError(f"invalid window={window} / stride={stride}")
-    _, c, h, w = x.shape
+    b, c, h, w = x.shape
     if window > h or window > w:
         raise ShapeError(f"window {window} larger than input {h}x{w}")
-    win = sliding_window_view(x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
-    b, _, oh, ow = win.shape[:4]
-    flat = win.reshape(b, c, oh, ow, window * window)
-    arg = flat.argmax(axis=-1)
-    y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    wi, wj = np.divmod(arg, window)
-    ii = (np.arange(oh) * stride)[:, None] + wi
-    jj = (np.arange(ow) * stride)[None, :] + wj
-    routing = (np.arange(c) * (h * w))[None, :, None, None] + ii * w + jj
-    return np.ascontiguousarray(y), routing.astype(np.int64)
+    oh, ow = (h - window) // stride + 1, (w - window) // stride + 1
+
+    def at(ky, kx):  # [B,C,OH,OW] view of each window's (ky, kx) element
+        return x[:, :, ky:ky + stride * (oh - 1) + 1:stride, kx:kx + stride * (ow - 1) + 1:stride]
+
+    running = at(0, 0).copy()  # compares like the maximum; signed zeros may differ
+    offset = np.zeros(running.shape, dtype=np.int64)
+    for ky in range(window):
+        for kx in range(window):
+            if ky or kx:
+                v = at(ky, kx)
+                # strictly greater, or the first NaN: np.argmax's rule
+                wins = ~(v <= running) & (running == running)
+                np.maximum(running, v, out=running)
+                np.maximum(offset, wins * (ky * w + kx), out=offset)
+    routing = offset + ((np.arange(c) * (h * w))[:, None, None]
+                        + (np.arange(oh) * (stride * w))[:, None] + np.arange(ow) * stride)
+    y = np.take_along_axis(x.reshape(b, c * h * w), routing.reshape(b, c * oh * ow), axis=1)
+    return y.reshape(routing.shape), routing
 
 
 def maxpool_backward_batch(x_shape, routing, grad_out):
-    """Route upstream gradient to each window's argmax position (scatter-add)."""
+    """Route upstream gradient to each window's argmax position.
+
+    Overlapping windows can route several outputs to one input; those
+    gradients are summed in routing order, as a scatter-add would.
+    """
     b, c, h, w = x_shape
-    gx = np.zeros((b, c * h * w), dtype=np.float64)
-    np.add.at(
-        gx,
-        (np.arange(b)[:, None], routing.reshape(b, -1)),
-        grad_out.reshape(b, -1).astype(np.float64, copy=False),
-    )
+    size = c * h * w
+    if routing.size and (routing.min() < 0 or routing.max() >= size):
+        raise ShapeError(f"routing indexes outside a [{c},{h},{w}] sample")
+    flat = (routing + (np.arange(b) * size).reshape(b, 1, 1, 1)).reshape(-1)
+    gx = np.bincount(flat, weights=grad_out.reshape(-1), minlength=b * size)
     return gx.reshape(x_shape).astype(grad_out.dtype, copy=False)
 
 

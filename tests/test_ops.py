@@ -60,6 +60,33 @@ def maxpool_naive(x, window, stride):
     return y, routing
 
 
+def conv2d_grad_w_naive(x, kernels, stride, padding, g_out):
+    """Kernel gradient by definition: one sum over batch and output grid per weight."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    c_out, c_in, k, _ = kernels.shape
+    oh, ow = g_out.shape[2:]
+    gw = np.zeros(kernels.shape, dtype=np.float64)
+    for co in range(c_out):
+        for ci in range(c_in):
+            for ky in range(k):
+                for kx in range(k):
+                    win = xp[:, ci, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride]
+                    gw[co, ci, ky, kx] = float((win * g_out[:, co]).sum())
+    return gw
+
+
+def maxpool_backward_naive(x_shape, routing, g_out):
+    """Loop scatter-add: every output adds its gradient at its routed input."""
+    b = x_shape[0]
+    gx = np.zeros((b, int(np.prod(x_shape[1:]))), dtype=np.float64)
+    r = routing.reshape(b, -1)
+    g = g_out.reshape(b, -1)
+    for i in range(b):
+        for j in range(r.shape[1]):
+            gx[i, r[i, j]] += float(g[i, j])
+    return gx.reshape(x_shape)
+
+
 def fc_naive(x, weights):
     m, n = weights.shape
     y = np.zeros(m, dtype=np.float64)
@@ -129,6 +156,49 @@ def test_maxpool_tie_takes_lowest_flat_index():
     x = np.array([[[[0.0, 1.0], [1.0, 0.0]]]])
     _, routing = ops.maxpool_forward_batch(x, 2, 2)
     assert routing[0, 0, 0, 0] == 1  # first 1.0 in row-major order
+
+
+def test_maxpool_first_element_value_on_ties():
+    # Equal maxima and signed zeros compare equal, so the window's first one
+    # wins: its value (sign bit included) and its flat index.
+    x = np.array([[[[-0.0, 0.0, 0.0, -0.0],
+                    [0.0, 0.0, -0.0, -0.0]],
+                   [[5.0, 5.0, -1.0, -0.0],
+                    [5.0, 5.0, 0.0, -0.0]]]])
+    y, routing = ops.maxpool_forward_batch(x, 2, 2)
+    np.testing.assert_array_equal(routing[0], [[[0, 2]], [[8, 11]]])
+    np.testing.assert_array_equal(np.signbit(y[0]), [[[True, False]], [[False, True]]])
+    np.testing.assert_array_equal(y[0], [[[0.0, 0.0]], [[5.0, 0.0]]])
+
+
+def test_maxpool_first_nan_wins_window():
+    x = np.array([[[[1.0, np.nan, 3.0, 2.0],
+                    [np.nan, 4.0, 1.0, 0.5]]]])
+    y, routing = ops.maxpool_forward_batch(x, 2, 2)
+    np.testing.assert_array_equal(routing[0, 0, 0], [1, 2])
+    assert np.isnan(y[0, 0, 0, 0]) and y[0, 0, 0, 1] == 3.0
+
+
+@pytest.mark.parametrize("window", [2, 3])
+def test_maxpool_backward_overlapping_windows_matches_naive(window):
+    # Stride 1 < window: one input can win several windows, and each of them
+    # must add its gradient there.
+    rng = np.random.default_rng(300 + window)
+    x = rng.standard_normal((3, 2, 7, 6))
+    y, routing = ops.maxpool_forward_batch(x, window, 1)
+    assert max(np.bincount(r).max() for r in routing.reshape(3, -1)) > 1
+    g_out = rng.standard_normal(y.shape)
+    got = ops.maxpool_backward_batch(x.shape, routing, g_out)
+    np.testing.assert_array_equal(got, maxpool_backward_naive(x.shape, routing, g_out))
+
+
+def test_maxpool_backward_rejects_routing_outside_sample():
+    # An index past one sample's [C,H,W] block would land in the next sample.
+    g_out = np.ones((2, 1, 1, 1))
+    for bad in (4, -1):
+        routing = np.array([0, bad]).reshape(2, 1, 1, 1)
+        with pytest.raises(ShapeError):
+            ops.maxpool_backward_batch((2, 1, 2, 2), routing, g_out)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -274,3 +344,28 @@ def test_batched_pool_equals_per_sample(seed):
         y, r = y[0], r[0]
         np.testing.assert_array_equal(yb[i], y)
         np.testing.assert_array_equal(rb[i], r)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3 * ops._CONV_BLOCK + 1))
+@settings(max_examples=25, deadline=None)
+def test_conv_rows_independent_of_batch(seed, batch):
+    # Batches cross _CONV_BLOCK boundaries: every image's output and input
+    # gradient must equal its batch-of-one result bit for bit.
+    rng = np.random.default_rng(seed)
+    c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    k = int(rng.choice([1, 2, 3]))
+    stride = int(rng.choice([1, 2]))
+    padding = int(rng.choice([0, 1]))
+    h = int(rng.integers(k, 8))
+    w = int(rng.integers(k, 8))
+    x = rng.standard_normal((batch, c_in, h, w))
+    kernels = rng.standard_normal((c_out, c_in, k, k))
+    y = ops.conv2d_forward_batch(x, kernels, stride, padding)
+    g_out = rng.standard_normal(y.shape)
+    gx, gw = ops.conv2d_backward_batch(x, kernels, stride, padding, g_out)
+    for i in range(batch):
+        np.testing.assert_array_equal(
+            y[i], ops.conv2d_forward_batch(x[i:i + 1], kernels, stride, padding)[0])
+        gx_one, _ = ops.conv2d_backward_batch(x[i:i + 1], kernels, stride, padding, g_out[i:i + 1])
+        np.testing.assert_array_equal(gx[i], gx_one[0])
+    assert rel_err(gw, conv2d_grad_w_naive(x, kernels, stride, padding, g_out)) < 1e-12
