@@ -66,11 +66,9 @@ from .model import (
 )
 from .pathcount import (
     ClipConfig,
-    OnOffPattern,
     PathCountMap,
     clip_fc_weights,
     extract_onoff,
-    on_ratio,
     pathcount_bruteforce,
     pathcount_forward,
 )

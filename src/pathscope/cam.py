@@ -140,21 +140,20 @@ def degradation_score(
     variant: str = "act",
     steps: int = 10,
     clip: ClipConfig = ClipConfig(),
-    fill: float | None = None,
     workers: int = 1,
     seed: int = 0,
 ):
     """Accuracy curves at fractions {0, 1/steps, ..., 1} under both orders and
-    the trapezoidal area between them (LeRF minus MoRF)."""
+    the trapezoidal area between them (LeRF minus MoRF). Perturbed pixels take
+    the dataset's mean pixel value."""
     if steps < 2:
         raise ArgumentError(f"need at least 2 perturbation steps, got {steps}")
     if len(dataset) == 0:
         raise ArgumentError("cannot degrade an empty dataset")
     fractions = np.linspace(0.0, 1.0, steps + 1)
-    if fill is None:
-        fill = mean_pixel(dataset)
     worker = functools.partial(_degrade_one, weights=weights, spec=spec, variant=variant,
-                               fractions=fractions, clip=clip, fill=fill, seed=seed)
+                               fractions=fractions, clip=clip, fill=mean_pixel(dataset),
+                               seed=seed)
     items = [(i, dataset.images[i], int(dataset.labels[i])) for i in range(len(dataset))]
     results = pmap(worker, items, workers=workers)
     acc = np.zeros((2, len(fractions)))

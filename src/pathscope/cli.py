@@ -138,6 +138,8 @@ def _merge_config(command: str, flags: dict) -> dict:
     cfg.update(flags)
     if cfg.get("workers", 1) < 1:
         raise ArgumentError(f"--workers must be >= 1, got {cfg['workers']}")
+    if cfg["seed"] < 0:
+        raise ArgumentError(f"--seed must be >= 0, got {cfg['seed']}")
     return cfg
 
 

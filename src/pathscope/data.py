@@ -24,6 +24,11 @@ DEFAULT_SCALE_RANGE = (0.8, 1.0)
 #: evaluation sets stay on the clean size distribution.
 TRAIN_SMALL_FRACTION = 0.15
 DEFAULT_SMALL_RANGE = (0.45, 0.55)
+# Handwriting-like variability of every generated digit: placement jitter in
+# pixels, relative stroke-thickness jitter, and maximum horizontal shear.
+_JITTER = 4
+_THICKNESS_JITTER = 0.35
+_SHEAR_MAX = 0.25
 
 
 def _digit_box(scale: float) -> tuple[int, int]:
@@ -61,27 +66,36 @@ def _read_exact(f, n: int, what: str, path) -> bytes:
     return data
 
 
-def load_idx(images_path, labels_path, num_classes: int | None = None) -> Dataset:
-    """Parse an IDX image/label file pair (big-endian, unsigned bytes)."""
+def _read_rest(f, n: int, what: str, path) -> bytes:
+    """The file's remaining bytes, which must be exactly `n`."""
+    data = _read_exact(f, n, what, path)
+    extra = len(f.read())
+    if extra:
+        raise FormatError(f"{path}: {extra} trailing bytes after {what}")
+    return data
+
+
+def load_idx(images_path, labels_path) -> Dataset:
+    """Parse an IDX image/label file pair (big-endian, unsigned bytes). Each
+    file must end where its data ends."""
     with open(images_path, "rb") as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, "magic", images_path))
         if magic != _IDX_IMAGES_MAGIC:
             raise FormatError(f"{images_path}: magic 0x{magic:08x}, expected 0x{_IDX_IMAGES_MAGIC:08x}")
         n, h, w = struct.unpack(">III", _read_exact(f, 12, "dimensions", images_path))
-        raw = _read_exact(f, n * h * w, f"{n} images of {h}x{w}", images_path)
+        raw = _read_rest(f, n * h * w, f"{n} images of {h}x{w}", images_path)
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, h, w)
     with open(labels_path, "rb") as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, "magic", labels_path))
         if magic != _IDX_LABELS_MAGIC:
             raise FormatError(f"{labels_path}: magic 0x{magic:08x}, expected 0x{_IDX_LABELS_MAGIC:08x}")
         (n_labels,) = struct.unpack(">I", _read_exact(f, 4, "count", labels_path))
-        raw = _read_exact(f, n_labels, f"{n_labels} labels", labels_path)
+        raw = _read_rest(f, n_labels, f"{n_labels} labels", labels_path)
     if n_labels != n:
         raise FormatError(f"{images_path} has {n} images but {labels_path} has {n_labels} labels")
     labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
     images = (pixels.astype(np.float32) / np.float32(255.0))
-    k = num_classes if num_classes is not None else (int(labels.max()) + 1 if n else 10)
-    return Dataset(images, labels, k)
+    return Dataset(images, labels, int(labels.max()) + 1 if n else 10)
 
 
 def write_idx(dataset: Dataset, images_path, labels_path) -> None:
@@ -190,9 +204,6 @@ def synthetic_digits(
     image_hw: int = 28,
     scale_range: tuple[float, float] = DEFAULT_SCALE_RANGE,
     noise: float = 0.0,
-    jitter: int = 4,
-    thickness_jitter: float = 0.35,
-    shear_max: float = 0.25,
     small_fraction: float = 0.0,
     small_range: tuple[float, float] = DEFAULT_SMALL_RANGE,
 ) -> Dataset:
@@ -231,12 +242,11 @@ def synthetic_digits(
         else:
             s = rng.uniform(scale_range[0], scale_range[1])
         box_h, box_w = _digit_box(s)
-        mask = _digit_mask(int(labels[i]), box_h, box_w, rng, thickness_jitter)
-        if shear_max > 0.0:
-            mask = _shear_rows(mask, rng.uniform(-shear_max, shear_max))
-        top = int(np.clip((image_hw - box_h) // 2 + rng.integers(-jitter, jitter + 1),
+        mask = _digit_mask(int(labels[i]), box_h, box_w, rng, _THICKNESS_JITTER)
+        mask = _shear_rows(mask, rng.uniform(-_SHEAR_MAX, _SHEAR_MAX))
+        top = int(np.clip((image_hw - box_h) // 2 + rng.integers(-_JITTER, _JITTER + 1),
                           0, image_hw - box_h))
-        left = int(np.clip((image_hw - box_w) // 2 + rng.integers(-jitter, jitter + 1),
+        left = int(np.clip((image_hw - box_w) // 2 + rng.integers(-_JITTER, _JITTER + 1),
                            0, image_hw - box_w))
         img = np.zeros((image_hw, image_hw), dtype=np.float32)
         img[top:top + box_h, left:left + box_w] = mask * rng.uniform(0.75, 1.0)

@@ -16,7 +16,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -162,10 +162,6 @@ def layer_index(names: list[str], name: str) -> int:
     if name not in names:
         raise ArgumentError(f"no layer named {name!r}; known: {', '.join(names)}")
     return names.index(name)
-
-
-def layer_output_shape(spec: ModelSpec, name: str) -> tuple[int, ...]:
-    return resolve(spec)[layer_index(layer_names(spec), name)].out_shape
 
 
 def _param_shape(r: ResolvedLayer) -> tuple[int, ...] | None:
@@ -386,55 +382,52 @@ def train_sgd(weights, spec, dataset, config: TrainConfig):
     return w, history
 
 
-def predict_batch(weights, spec, images, batch_size: int = 256) -> np.ndarray:
+_PREDICT_BATCH = 256
+
+
+def predict_batch(weights, spec, images) -> np.ndarray:
     """Argmax class per image; ties break to the lowest class index."""
     preds = []
-    for start in range(0, len(images), batch_size):
-        logits, _ = _forward_batch(weights, spec, images[start:start + batch_size])
+    for start in range(0, len(images), _PREDICT_BATCH):
+        logits, _ = _forward_batch(weights, spec, images[start:start + _PREDICT_BATCH])
         preds.append(np.argmax(logits, axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
 
-def evaluate_accuracy(weights, spec, dataset, batch_size: int = 256) -> float:
+def evaluate_accuracy(weights, spec, dataset) -> float:
     if len(dataset.labels) == 0:
         raise ArgumentError("cannot evaluate on an empty dataset")
-    preds = predict_batch(weights, spec, dataset.images, batch_size)
+    preds = predict_batch(weights, spec, dataset.images)
     return float(np.mean(preds == dataset.labels))
 
 
 # --- persistence ---
 
+# The LayerSpec fields each layer kind persists in the model header; each is
+# read back with the type LayerSpec declares for it.
+_LAYER_FIELDS = {
+    "conv": ("out_channels", "kernel", "stride", "padding"),
+    "relu": (),
+    "maxpool": ("window", "stride"),
+    "dropout": ("rate",),
+    "flatten": (),
+    "fc": ("out_features",),
+}
+_FIELD_TYPES = get_type_hints(LayerSpec)
+
+
 def _layer_to_json(layer: LayerSpec) -> dict:
-    d = {"kind": layer.kind}
-    if layer.kind == "conv":
-        d.update(out_channels=layer.out_channels, kernel=layer.kernel,
-                 stride=layer.stride, padding=layer.padding)
-    elif layer.kind == "maxpool":
-        d.update(window=layer.window, stride=layer.stride)
-    elif layer.kind == "dropout":
-        d.update(rate=layer.rate)
-    elif layer.kind == "fc":
-        d.update(out_features=layer.out_features)
-    return d
+    return {"kind": layer.kind, **{f: getattr(layer, f) for f in _LAYER_FIELDS[layer.kind]}}
 
 
-def _layer_from_json(d: dict) -> LayerSpec:
-    kind = d.get("kind")
+def _layer_from_json(d) -> LayerSpec:
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if not isinstance(kind, str) or kind not in _LAYER_FIELDS:
+        raise FormatError(f"unknown layer kind {kind!r} in model header")
     try:
-        if kind == "conv":
-            return LayerSpec("conv", out_channels=int(d["out_channels"]), kernel=int(d["kernel"]),
-                             stride=int(d["stride"]), padding=int(d["padding"]))
-        if kind == "maxpool":
-            return LayerSpec("maxpool", window=int(d["window"]), stride=int(d["stride"]))
-        if kind == "dropout":
-            return LayerSpec("dropout", rate=float(d["rate"]))
-        if kind in ("relu", "flatten", "fc"):
-            if kind == "fc":
-                return LayerSpec("fc", out_features=int(d["out_features"]))
-            return LayerSpec(kind)
+        return LayerSpec(kind, **{f: _FIELD_TYPES[f](d[f]) for f in _LAYER_FIELDS[kind]})
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad layer entry {d!r}: {e}") from e
-    raise FormatError(f"unknown layer kind {kind!r} in model header")
 
 
 def serialize_model(weights: dict[str, np.ndarray], spec: ModelSpec) -> bytes:
@@ -516,22 +509,20 @@ def model_digest(weights: dict[str, np.ndarray], spec: ModelSpec) -> str:
 
 # --- stock architectures ---
 
-def reference_spec(in_channels: int = 1, image_hw: int = 28, channels: int = 32,
-                   num_classes: int = 10) -> ModelSpec:
-    """Five 3x3 same-padding conv blocks, one 2x2 pool, dropout, one fc head."""
+def reference_spec(in_channels: int = 1, image_hw: int = 28, num_classes: int = 10) -> ModelSpec:
+    """Five 32-channel 3x3 same-padding conv blocks, one 2x2 pool, dropout, one fc head."""
     layers = []
     for _ in range(5):
-        layers += [conv(channels), relu()]
+        layers += [conv(32), relu()]
     layers += [maxpool(2, 2), dropout(0.25), flatten(), fc(num_classes)]
     return ModelSpec((in_channels, image_hw, image_hw), num_classes, tuple(layers))
 
 
-def desk_spec(in_channels: int = 1, image_hw: int = 28, channels: int = 8,
-              num_classes: int = 10) -> ModelSpec:
-    """Small profile for laptop-scale runs: three conv blocks, same head."""
+def desk_spec(in_channels: int = 1, image_hw: int = 28, num_classes: int = 10) -> ModelSpec:
+    """Small profile for laptop-scale runs: three 8-channel conv blocks, same head."""
     layers = []
     for _ in range(3):
-        layers += [conv(channels), relu()]
+        layers += [conv(8), relu()]
     layers += [maxpool(2, 2), dropout(0.25), flatten(), fc(num_classes)]
     return ModelSpec((in_channels, image_hw, image_hw), num_classes, tuple(layers))
 

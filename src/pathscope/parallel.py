@@ -12,13 +12,15 @@ import multiprocessing
 
 
 def pmap(fn, items, workers: int = 1) -> list:
-    """Map `fn` over `items`, in order; forks `workers` processes when > 1.
+    """Map `fn` over `items`, in order; forks min(`workers`, len(items))
+    processes when that is > 1.
 
     `fn` and items must be picklable when workers > 1 (use a module-level
     function, optionally wrapped in functools.partial).
     """
     items = list(items)
-    if workers <= 1 or len(items) < 2:
+    workers = min(workers, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
     try:
         ctx = multiprocessing.get_context("fork")

@@ -45,22 +45,6 @@ class ClipConfig:
         if not (np.isfinite(self.threshold) and self.threshold >= 0):
             raise ArgumentError(f"clip threshold must be finite and >= 0, got {self.threshold}")
 
-    def resolve_threshold(self, weights: np.ndarray) -> float:
-        if self.mode == "mean":
-            return float(np.abs(weights).mean())
-        return self.threshold
-
-
-@dataclass(frozen=True)
-class OnOffPattern:
-    """Binary (0/1) tensors, one per traced layer, congruent with activations."""
-
-    layers: dict[str, np.ndarray]
-
-    def layer(self, name: str) -> np.ndarray:
-        layer_index(list(self.layers), name)
-        return self.layers[name]
-
 
 @dataclass(frozen=True)
 class PathCountMap:
@@ -75,20 +59,15 @@ class PathCountMap:
         return self.layers[name]
 
 
-def extract_onoff(trace: ForwardTrace) -> OnOffPattern:
-    """1 where the traced value is strictly positive, 0 elsewhere, per layer."""
-    return OnOffPattern({name: (out > 0).astype(np.float64)
-                         for name, out in trace.outputs.items()})
+def extract_onoff(trace: ForwardTrace) -> dict[str, np.ndarray]:
+    """Per layer, float64 1 where the traced value is strictly positive, 0 elsewhere."""
+    return {name: (out > 0).astype(np.float64) for name, out in trace.outputs.items()}
 
 
 def clip_fc_weights(weights: np.ndarray, clip: ClipConfig) -> np.ndarray:
     """Binary mask of fully-connected weights surviving the clip threshold."""
-    tau = clip.resolve_threshold(weights)
+    tau = float(np.abs(weights).mean()) if clip.mode == "mean" else clip.threshold
     return (np.abs(weights) > tau).astype(np.float64)
-
-
-def on_ratio(pattern: OnOffPattern, layer: str) -> float:
-    return float(pattern.layer(layer).mean())
 
 
 def pathcount_forward(
@@ -112,7 +91,7 @@ def pathcount_forward(
             ones_w = (np.abs(weights[r.name]) > 0).astype(np.float64)
             cur = ops.conv2d_forward_batch(cur[None], ones_w, s.stride, s.padding)[0]
         elif s.kind == "relu":
-            cur = cur * pattern.layer(r.name)
+            cur = cur * pattern[r.name]
         elif s.kind == "maxpool":
             routing = trace.routings[r.name]
             cur = np.take(cur.reshape(-1), routing)

@@ -26,7 +26,7 @@ from .model import (
     resolve,
 )
 from .parallel import pmap
-from .pathcount import ClipConfig, PathCountMap, extract_onoff, on_ratio, pathcount_forward
+from .pathcount import ClipConfig, PathCountMap, extract_onoff, pathcount_forward
 
 REPLACEMENT_KINDS = ("identity", "scaled_onoff", "scaled_pathcount", "signed_scaled_pathcount")
 
@@ -144,7 +144,7 @@ def _sweep_one(x, *, weights, spec, layers, kinds, clip):
         for kind in kinds:
             logits = replace_and_infer(weights, spec, trace, layer, kind, counts)
             preds[(layer, kind)] = int(np.argmax(logits))
-    ratios = {layer: on_ratio(pattern, layer) for layer in layers}
+    ratios = {layer: float(pattern[layer].mean()) for layer in layers}
     return base_pred, preds, ratios
 
 

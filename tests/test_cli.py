@@ -313,6 +313,17 @@ def test_workers_below_one_exits_2(conv_fixture, tmp_path, capsys, workers):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "pathcount", "replace-sweep",
+                                     "correlate", "cam", "degrade", "tilematch"])
+def test_negative_seed_exits_2(conv_fixture, tmp_path, capsys, command):
+    model, images, labels = conv_fixture
+    model_args = [] if command == "train" else ["--model", model]
+    assert run(command, *model_args, "--data-images", images, "--data-labels", labels,
+               "--seed", "-1", "--out", str(tmp_path / "o")) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, args", [
     ("eval", ["--synthetic", "--scale-max", "3"]),
     ("eval", ["--synthetic", "--scale-min", "nan"]),

@@ -58,6 +58,16 @@ def test_load_idx_truncated(tmp_path):
         ps.load_idx(tmp_path / "im", tmp_path / "lb")
 
 
+@pytest.mark.parametrize("name, extra", [("im", 7), ("lb", 2)])
+def test_load_idx_rejects_trailing_bytes(tmp_path, name, extra):
+    write_raw_idx(tmp_path / "im", tmp_path / "lb", np.zeros((2, 2, 2), np.uint8),
+                  np.zeros(2, np.uint8))
+    with open(tmp_path / name, "ab") as f:
+        f.write(b"\xff" * extra)
+    with pytest.raises(FormatError, match=f"{extra} trailing bytes"):
+        ps.load_idx(tmp_path / "im", tmp_path / "lb")
+
+
 def test_load_idx_count_mismatch(tmp_path):
     write_raw_idx(tmp_path / "im", tmp_path / "lb", np.zeros((2, 2, 2), np.uint8),
                   np.zeros(2, np.uint8))

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +17,6 @@ from pathscope.errors import ArgumentError, FormatError, NumericalError, ShapeEr
 from pathscope.model import (
     _forward_batch,
     desk_spec,
-    layer_output_shape,
     param_shapes,
     predict_batch,
     serialize_model,
@@ -348,3 +351,36 @@ def test_serialize_header_is_json(tiny_spec):
     header = json.loads(blob[9:9 + hlen])
     assert header["num_classes"] == 2
     assert [t["name"] for t in header["tensors"]] == ["fc1", "fc2"]
+
+
+def test_desk_asset_round_trips_to_its_own_bytes():
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "assets" / "desk_model.npsc"
+    spec, weights = ps.load_model(path)
+    assert serialize_model(weights, spec) == path.read_bytes()
+
+
+def _with_first_layer(blob: bytes, entry) -> bytes:
+    """`blob` with its header's first layer entry replaced by `entry`."""
+    (hlen,) = struct.unpack("<I", blob[5:9])
+    header = json.loads(blob[9:9 + hlen])
+    header["layers"][0] = entry
+    new = json.dumps(header).encode("utf-8")
+    return blob[:5] + struct.pack("<I", len(new)) + new + blob[9 + hlen:]
+
+
+@pytest.mark.parametrize("entry", [
+    {"kind": 3},
+    {"kind": ["conv"]},
+    {"kind": "pool"},
+    {},
+    7,
+    {"kind": "conv", "kernel": 3, "stride": 1, "padding": 1},
+    {"kind": "conv", "out_channels": "two", "kernel": 3, "stride": 1, "padding": 1},
+    {"kind": "conv", "out_channels": None, "kernel": 3, "stride": 1, "padding": 1},
+])
+def test_load_rejects_bad_layer_entry(tmp_path, small_conv_model, entry):
+    spec, weights = small_conv_model
+    bad = tmp_path / "bad.npsc"
+    bad.write_bytes(_with_first_layer(serialize_model(weights, spec), entry))
+    with pytest.raises(FormatError):
+        ps.load_model(bad)
