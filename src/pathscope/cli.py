@@ -233,7 +233,8 @@ def cmd_train(cfg: dict) -> int:
     save_model(weights, spec, model_path)
     reports.write_json(os.path.join(out, "train_metrics.json"), {
         "train_acc": train_acc, "test_acc": test_acc, "epochs": tconf.epochs,
-        "seed": seed, "final_loss": losses[-1], "model_sha256": model_digest(weights, spec),
+        "seed": seed, "final_loss": losses[-1], "loss_history": losses,
+        "model_sha256": model_digest(weights, spec),
     })
     print(f"model={model_path} train_acc={train_acc:.4f} test_acc={test_acc:.4f}")
     return 0
@@ -317,6 +318,10 @@ def cmd_correlate(cfg: dict) -> int:
     })
     for r in report.rows:
         print(f"{r.layer} tau_raw={r.tau_raw_mean:.3f} tau_abs={r.tau_abs_mean:.3f}")
+    for r in report.rows:
+        if r.skipped_images:
+            print(f"{r.layer}: tau-b undefined on {r.skipped_images}/{report.metadata['samples']}"
+                  " images (a vector is all ties)", file=sys.stderr)
     return 0
 
 

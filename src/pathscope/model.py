@@ -238,12 +238,14 @@ def _layer_forward(r: ResolvedLayer, weights, x, train=False, drop_rng=None):
     return ops.fc_forward_batch(x, weights[r.name]), None
 
 
-def _layer_backward(r: ResolvedLayer, weights, x_in, aux, g):
+def _layer_backward(r: ResolvedLayer, weights, x_in, aux, g, input_grad=True):
     """Reverse of _layer_forward for upstream grad `g`; returns
-    (grad wrt x_in, weight grad summed over the batch or None)."""
+    (grad wrt x_in, weight grad summed over the batch or None). A conv layer
+    given input_grad=False skips its input gradient and returns None for it."""
     s = r.spec
     if s.kind == "conv":
-        return ops.conv2d_backward_batch(x_in, weights[r.name], s.stride, s.padding, g)
+        return ops.conv2d_backward_batch(x_in, weights[r.name], s.stride, s.padding, g,
+                                         input_grad=input_grad)
     if s.kind == "relu":
         return ops.relu_backward(x_in, g), None
     if s.kind == "maxpool":
@@ -322,11 +324,14 @@ def _forward_batch(weights, spec, xb, train=False, drop_rng=None):
 
 
 def _backward_batch(weights, cache, grad_logits):
-    """Reverse sweep over a batch cache; returns summed parameter gradients."""
+    """Reverse sweep over a batch cache; returns summed parameter gradients.
+
+    The first layer's input is the image, whose gradient nobody reads."""
     grads: dict[str, np.ndarray] = {}
     g = grad_logits
-    for r, x_in, aux in reversed(cache):
-        g, gw = _layer_backward(r, weights, x_in, aux, g)
+    for i in reversed(range(len(cache))):
+        r, x_in, aux = cache[i]
+        g, gw = _layer_backward(r, weights, x_in, aux, g, input_grad=i > 0)
         if gw is not None:
             grads[r.name] = gw
     return grads

@@ -16,9 +16,9 @@ is `W @ cols` straight into [B, C_out, OH*OW] and backward's grad-input is
 `W.T @ grad` in the same layout, added back one (ky, kx) slice at a time.
 Columns are built and multiplied _CONV_BLOCK images at a time, which keeps
 each block's working set in cache; every image is its own matmul, so a row's
-result does not depend on the batch it came in. The kernel gradient stays
-one float64 contraction over the whole batch; einsum takes it over
-receptive-field rows [B, OH*OW, C*k*k], whose strides fix its summation order.
+result does not depend on the batch it came in. The kernel gradient is a GEMM
+over the same columns (Chellapilla, Puri and Simard, 2006): `grad @ cols.T`
+per image, accumulated in float64 in image order and cast once at the end.
 
 Max pooling walks the window offsets over strided views. An element takes
 its window when it is strictly greater than the running maximum, or is the
@@ -108,8 +108,12 @@ def conv2d_forward_batch(x, kernels, stride: int = 1, padding: int = 0):
     return y.reshape(b, c_out, oh, ow).astype(x.dtype, copy=False)
 
 
-def conv2d_backward_batch(x, kernels, stride, padding, grad_out):
-    """Gradients of conv2d wrt input and kernels for an upstream [B,C_out,OH,OW] grad."""
+def conv2d_backward_batch(x, kernels, stride, padding, grad_out, input_grad=True):
+    """Gradients of conv2d wrt input and kernels for an upstream [B,C_out,OH,OW] grad.
+
+    With input_grad=False the input gradient is not computed and comes back
+    as None; the kernel gradient is the same either way.
+    """
     _check_conv_shapes(x, kernels, stride, padding)
     c_out, c, k, _ = kernels.shape
     xp = _pad(x, padding)
@@ -119,22 +123,23 @@ def conv2d_backward_batch(x, kernels, stride, padding, grad_out):
         raise ShapeError(f"upstream grad shape {grad_out.shape} != {(b, c_out, oh, ow)}")
     g = grad_out.reshape(b, c_out, oh * ow).astype(np.float64, copy=False)
     wm_t = kernels.reshape(c_out, -1).astype(np.float64, copy=False).T
-    rows = np.empty((b, oh * ow, c * k * k))
-    gxp = np.zeros(xp.shape)
+    grad_w = np.zeros((c_out, c * k * k))
+    gxp = np.zeros(xp.shape) if input_grad else None
     for start, cols in _column_blocks(win):
         stop = start + len(cols)
-        rows[start:stop] = cols.transpose(0, 2, 1)
+        for gi, ci in zip(g[start:stop], cols):
+            grad_w += gi @ ci.T
+        if not input_grad:
+            continue
         grad_cols = np.matmul(wm_t, g[start:stop], out=cols)  # block buffer, now free
         grad_cols = grad_cols.reshape(len(cols), c, k, k, oh, ow)
         img = gxp[start:stop]
         for ky in range(k):
             for kx in range(k):
                 img[:, :, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += grad_cols[:, :, ky, kx]
-    # einsum picks its summation order from its operands' strides; rows
-    # [B, OH*OW, C*k*k] keep the order saved models were trained with, so
-    # retraining reproduces them bit for bit.
-    grad_w = np.einsum("bnc,bnk->ck", g.transpose(0, 2, 1), rows)
     grad_w = grad_w.reshape(kernels.shape).astype(kernels.dtype, copy=False)
+    if not input_grad:
+        return None, grad_w
     if padding:
         gxp = gxp[:, :, padding:-padding, padding:-padding]
     return gxp.astype(x.dtype, copy=False), grad_w

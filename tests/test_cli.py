@@ -6,10 +6,13 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pathscope
 from pathscope import (
     Dataset,
     ModelSpec,
@@ -93,7 +96,33 @@ def test_train_is_deterministic(tmp_path):
     mb = json.load(open(tmp_path / "b" / "train_metrics.json"))
     assert ma == mb
     assert set(ma) == {"train_acc", "test_acc", "epochs", "seed", "final_loss",
-                       "model_sha256"}
+                       "loss_history", "model_sha256"}
+
+
+def test_train_records_loss_history(tmp_path):
+    assert run("train", "--synthetic", "blobs", "--synthetic-n", "40",
+               "--epochs", "3", "--out", str(tmp_path)) == 0
+    m = json.load(open(tmp_path / "train_metrics.json"))
+    assert len(m["loss_history"]) == 3
+    assert m["loss_history"][-1] == m["final_loss"]
+
+
+def test_train_model_independent_of_blas_threads(tmp_path):
+    # The kernel gradient is one BLAS product per image; the thread count
+    # OpenBLAS splits it over must not change the trained model. Exactly two
+    # processes, one per thread count.
+    src = os.path.dirname(os.path.dirname(pathscope.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", "from pathscope.cli import entrypoint; entrypoint()",
+                        "train", "--profile", "desk", "--synthetic", "--synthetic-n", "200",
+                        "--epochs", "1", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        digests.append(hashlib.sha256((out / "model.npsc").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_train_writes_config_sidecar(tmp_path):
@@ -360,6 +389,26 @@ def test_correlate_single_model(conv_fixture, tmp_path):
                       "tau_abs_std", "skipped_images"]
     assert [r[0] for r in rows] == ["conv1.conv", "conv1.relu", "fc1"]
     assert not (out / "tau_model0.csv").exists()
+
+
+def test_correlate_reports_undefined_layers_on_stderr(tmp_path, capsys):
+    # fc2's two rows keep the same input edges, so its path counts are all
+    # tied on every image; fc1 and fc1.relu stay defined.
+    spec = ModelSpec((1, 1, 4), 2, (flatten(), fc(4), relu(), fc(2)))
+    weights = {"fc1": np.tril(np.ones((4, 4), dtype=np.float32)),
+               "fc2": np.array([[1, 1, 0, 0], [1, 1, 0, 0]], dtype=np.float32)}
+    model = str(tmp_path / "model.npsc")
+    save_model(weights, spec, model)
+    images, labels = str(tmp_path / "img.idx"), str(tmp_path / "lbl.idx")
+    write_idx(Dataset(np.ones((3, 1, 1, 4), dtype=np.float32),
+                      np.zeros(3, dtype=np.int64), 2), images, labels)
+    out = tmp_path / "o"
+    assert run("correlate", "--model", model, "--data-images", images,
+               "--data-labels", labels, "--out", str(out)) == 0
+    err = capsys.readouterr().err
+    assert err == "fc2: tau-b undefined on 3/3 images (a vector is all ties)\n"
+    _, rows = read_csv(out / "tau.csv")
+    assert [(r[0], r[-1]) for r in rows] == [("fc1", "0"), ("fc1.relu", "0"), ("fc2", "3")]
 
 
 def test_correlate_aggregates_model_list(conv_fixture, tmp_path):

@@ -384,3 +384,22 @@ def test_load_rejects_bad_layer_entry(tmp_path, small_conv_model, entry):
     bad.write_bytes(_with_first_layer(serialize_model(weights, spec), entry))
     with pytest.raises(FormatError):
         ps.load_model(bad)
+
+
+def test_train_skips_only_the_first_conv_input_gradient(monkeypatch):
+    # The image needs no gradient: the first conv layer is asked for its
+    # kernel gradient alone, every later conv layer for both.
+    asked = []
+    real = ops.conv2d_backward_batch
+
+    def spy(x, kernels, stride, padding, grad_out, input_grad=True):
+        asked.append((kernels.shape[1], input_grad))
+        return real(x, kernels, stride, padding, grad_out, input_grad=input_grad)
+
+    monkeypatch.setattr(ops, "conv2d_backward_batch", spy)
+    spec = ps.ModelSpec((1, 8, 8), 2,
+                        (ps.conv(3, 3, 1, 1), ps.relu(), ps.conv(4, 3, 1, 1), ps.relu(),
+                         ps.maxpool(2, 2), ps.conv(2, 3, 1, 1), ps.flatten(), ps.fc(2)))
+    ds = ps.synthetic_blobs(12, classes=2, image_hw=8, seed=0)
+    ps.train_sgd(ps.build_model(spec, 0), spec, ds, ps.TrainConfig(0.05, 1, 4, 0))
+    assert asked == [(4, True), (3, True), (1, False)] * 3  # 12 images, batch 4

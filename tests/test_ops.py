@@ -369,3 +369,34 @@ def test_conv_rows_independent_of_batch(seed, batch):
         gx_one, _ = ops.conv2d_backward_batch(x[i:i + 1], kernels, stride, padding, g_out[i:i + 1])
         np.testing.assert_array_equal(gx[i], gx_one[0])
     assert rel_err(gw, conv2d_grad_w_naive(x, kernels, stride, padding, g_out)) < 1e-12
+
+
+def conv2d_grad_w_einsum(x, kernels, padding, g_out):
+    """The kernel gradient as one einsum over receptive-field rows
+    [B, OH*OW, C*k*k], in the summation order its strides give; stride 1."""
+    c_out, c_in, k, _ = kernels.shape
+    b, _, oh, ow = g_out.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    rows = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh * ow, c_in * k * k).astype(np.float64)
+    g = g_out.reshape(b, c_out, oh * ow).astype(np.float64)
+    gw = np.einsum("bnc,bnk->ck", g.transpose(0, 2, 1), rows)
+    return gw.reshape(kernels.shape).astype(kernels.dtype)
+
+
+@pytest.mark.parametrize("c_in,c_out", [(1, 8), (8, 8), (1, 32), (32, 32)])
+@pytest.mark.parametrize("seed", range(3))
+def test_conv_grad_w_equals_einsum_at_stock_shapes(c_in, c_out, seed):
+    # The stock profiles' conv shapes at the training batch: the per-image
+    # GEMM's float32 kernel gradient equals the einsum's bit for bit, which
+    # is what keeps retrained models byte-identical.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((64, c_in, 28, 28)).astype(np.float32)
+    kernels = (rng.standard_normal((c_out, c_in, 3, 3)) * np.sqrt(2 / (9 * c_in))).astype(np.float32)
+    g_out = (rng.standard_normal((64, c_out, 28, 28)) * 1e-3).astype(np.float32)
+    gx, gw = ops.conv2d_backward_batch(x, kernels, 1, 1, g_out)
+    assert gw.dtype == np.float32 and gx.shape == x.shape
+    np.testing.assert_array_equal(gw, conv2d_grad_w_einsum(x, kernels, 1, g_out))
+    none, gw_only = ops.conv2d_backward_batch(x, kernels, 1, 1, g_out, input_grad=False)
+    assert none is None
+    np.testing.assert_array_equal(gw_only, gw)
