@@ -9,35 +9,45 @@ Every tensor op takes a leading batch axis; a single sample is a batch of
 one (`x[None]` in, `[0]` out), so per-sample analyses and training share
 the same kernels.
 
-Convolution is lowered channel-major (im2col in the layout cuDNN uses): a
-strided view [B,C,k,k,OH,OW] of the padded input gives float64 columns with
-rows in (c, ky, kx) order, matching `kernels.reshape(C_out, -1)`, so forward
-is `W @ cols` straight into [B, C_out, OH*OW] and backward's grad-input is
-`W.T @ grad` in the same layout, added back one (ky, kx) slice at a time.
-Columns are built and multiplied _CONV_BLOCK images at a time, which keeps
-each block's working set in cache; every image is its own matmul, so a row's
-result does not depend on the batch it came in. The kernel gradient is a GEMM
+Convolution is lowered channel-major (im2col in the layout cuDNN uses),
+_CONV_BLOCK images at a time, so every buffer is per block and stays in
+cache. A block's images are copied into one reused float64 zero buffer,
+each channel the zero-padded Hp x Wp image flattened row-major. A strided
+window view [n,C,k,k,OH,OWp] of it gives columns with rows in (c, ky, kx)
+order, matching `kernels.reshape(C_out, -1)`. The columns span the whole
+padded row (OWp = ceil(Wp / stride)), so at stride 1 each row is one
+contiguous slice; the extra OWp - OW output columns are cropped. Forward is
+`W @ cols` per block, written cropped into the output. Backward pads the
+upstream gradient with zero columns to OWp. The kernel gradient is a GEMM
 over the same columns (Chellapilla, Puri and Simard, 2006): `grad @ cols.T`
 per image, accumulated in float64 in image order and cast once at the end.
+Grad-input is `W.T @ grad`, added back one (ky, kx) slice at a time into a
+padded buffer through the same window view; the extra columns add only
++-0.0 to sums that start at +0.0, so each input position sums its real
+terms in (ky, kx) order. Every image is its own matmul, so a row's result
+does not depend on the batch it came in.
 
 Max pooling walks the window offsets over strided views. An element takes
 its window when it is strictly greater than the running maximum, or is the
 window's first NaN (np.argmax's rule), so ties, 0.0 beside -0.0 included,
 keep the first element in row-major window order; the values are gathered
-through the routing, so the winner's sign survives. Pool backward sums the
+through the routing, so the winner's sign survives. The flat index of each
+window's first element is cached per geometry. Pool backward sums the
 routed gradients per input position in routing order, so overlapping windows
 (stride < window) that route two outputs to one input add both.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ArgumentError, ShapeError
 
 # Images per block of the conv lowering: 4 images of 8-channel 28x28 float64
-# columns (~1.8 MB) stay cache-resident while their matmul reads them.
+# columns (~1.9 MB) stay cache-resident while their matmul reads them.
 _CONV_BLOCK = 4
 
 
@@ -48,33 +58,35 @@ def conv_output_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tu
     return oh, ow
 
 
-def _pad(x, padding):
-    # A zeros buffer with x assigned to its interior; np.pad costs ~10x more
-    # at batch 1, where the analyses call conv thousands of times.
-    if not padding:
-        return x
+def _padded_windows(n, c, h, w, kernel, stride, padding):
+    """A float64 zero buffer [n, C, L] for n zero-padded images, its interior
+    view [n, C, H, W] and its padded-width window view [n, C, k, k, OH, OWp].
+
+    Each channel is the Hp x Wp padded image flattened row-major, plus a k-1
+    tail: a window's columns run over the whole padded row (OWp = ceil(Wp /
+    stride)), and the last window's extra columns read past the image end.
+    """
+    hp, wp = h + 2 * padding, w + 2 * padding
+    buf = np.zeros((n, c, hp * wp + kernel - 1))
+    e = buf.itemsize
+    win = as_strided(buf, (n, c, kernel, kernel, (hp - kernel) // stride + 1, -(-wp // stride)),
+                     (*buf.strides[:2], wp * e, e, stride * wp * e, stride * e))
+    interior = buf[:, :, :hp * wp].reshape(n, c, hp, wp)[:, :, padding:padding + h, padding:padding + w]
+    return buf, interior, win
+
+
+def _column_blocks(x, kernel, stride, padding):
+    """Yield (slice, float64 columns [n, C*k*k, OH*OWp]) for blocks of
+    _CONV_BLOCK images, reusing one padded buffer and one column buffer."""
     b, c, h, w = x.shape
-    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    xp[:, :, padding:padding + h, padding:padding + w] = x
-    return xp
-
-
-def _windows(x_padded, kernel, stride):
-    # [B,C,Hp,Wp] -> strided view [B,C,k,k,OH,OW]: (c,ky,kx) rows follow
-    # kernels.reshape(C_out, -1), (oy,ox) columns follow the output grid.
-    win = sliding_window_view(x_padded, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    return win.transpose(0, 1, 4, 5, 2, 3)
-
-
-def _column_blocks(win):
-    """Yield (start, float64 columns [n, C*k*k, OH*OW]) for blocks of
-    _CONV_BLOCK images, reusing one buffer."""
-    b, c, k, _, oh, ow = win.shape
-    buf = np.empty((min(b, _CONV_BLOCK), c, k, k, oh, ow))
+    _, interior, win = _padded_windows(min(b, _CONV_BLOCK), c, h, w, kernel, stride, padding)
+    buf = np.empty(win.shape)
     for start in range(0, b, _CONV_BLOCK):
-        cols = buf[:min(_CONV_BLOCK, b - start)]
-        cols[...] = win[start:start + len(cols)]
-        yield start, cols.reshape(len(cols), c * k * k, oh * ow)
+        n = min(_CONV_BLOCK, b - start)
+        interior[:n] = x[start:start + n]
+        cols = buf[:n]
+        cols[...] = win[:n]
+        yield slice(start, start + n), cols.reshape(n, -1, win.shape[4] * win.shape[5])
 
 
 def _check_conv_shapes(x, kernels, stride, padding):
@@ -98,14 +110,17 @@ def _check_conv_shapes(x, kernels, stride, padding):
 def conv2d_forward_batch(x, kernels, stride: int = 1, padding: int = 0):
     """Bias-free cross-correlation of [B,C,H,W] with [C_out,C,k,k] kernels."""
     _check_conv_shapes(x, kernels, stride, padding)
-    c_out = kernels.shape[0]
-    win = _windows(_pad(x, padding), kernels.shape[2], stride)
-    b, oh, ow = x.shape[0], win.shape[4], win.shape[5]
+    c_out, _, k, _ = kernels.shape
+    b, _, h, w = x.shape
+    oh, ow = conv_output_hw(h, w, k, stride, padding)
     wm = kernels.reshape(c_out, -1).astype(np.float64, copy=False)
-    y = np.empty((b, c_out, oh * ow))
-    for start, cols in _column_blocks(win):
-        np.matmul(wm, cols, out=y[start:start + len(cols)])
-    return y.reshape(b, c_out, oh, ow).astype(x.dtype, copy=False)
+    y = np.empty((b, c_out, oh, ow), dtype=x.dtype)
+    for rows, cols in _column_blocks(x, k, stride, padding):
+        if rows.start == 0:  # the first block is the largest
+            buf = np.empty((len(cols), c_out, cols.shape[2]))
+        yb = np.matmul(wm, cols, out=buf[:len(cols)])
+        y[rows] = yb.reshape(len(cols), c_out, oh, -1)[..., :ow]
+    return y
 
 
 def conv2d_backward_batch(x, kernels, stride, padding, grad_out, input_grad=True):
@@ -116,33 +131,31 @@ def conv2d_backward_batch(x, kernels, stride, padding, grad_out, input_grad=True
     """
     _check_conv_shapes(x, kernels, stride, padding)
     c_out, c, k, _ = kernels.shape
-    xp = _pad(x, padding)
-    win = _windows(xp, k, stride)
-    b, oh, ow = x.shape[0], win.shape[4], win.shape[5]
+    b, _, h, w = x.shape
+    oh, ow = conv_output_hw(h, w, k, stride, padding)
     if grad_out.shape != (b, c_out, oh, ow):
         raise ShapeError(f"upstream grad shape {grad_out.shape} != {(b, c_out, oh, ow)}")
-    g = grad_out.reshape(b, c_out, oh * ow).astype(np.float64, copy=False)
     wm_t = kernels.reshape(c_out, -1).astype(np.float64, copy=False).T
     grad_w = np.zeros((c_out, c * k * k))
-    gxp = np.zeros(xp.shape) if input_grad else None
-    for start, cols in _column_blocks(win):
-        stop = start + len(cols)
-        for gi, ci in zip(g[start:stop], cols):
+    n = min(b, _CONV_BLOCK)
+    gbuf, g_interior, gwin = _padded_windows(n, c, h, w, k, stride, padding)
+    g = np.zeros((n, c_out, oh, gwin.shape[5]))  # upstream grad, zero past column OW
+    gx = np.empty(x.shape, dtype=x.dtype) if input_grad else None
+    for rows, cols in _column_blocks(x, k, stride, padding):
+        n = len(cols)
+        g[:n, ..., :ow] = grad_out[rows]
+        gm = g[:n].reshape(n, c_out, -1)
+        for gi, ci in zip(gm, cols):
             grad_w += gi @ ci.T
         if not input_grad:
             continue
-        grad_cols = np.matmul(wm_t, g[start:stop], out=cols)  # block buffer, now free
-        grad_cols = grad_cols.reshape(len(cols), c, k, k, oh, ow)
-        img = gxp[start:stop]
+        grad_cols = np.matmul(wm_t, gm, out=cols).reshape(gwin[:n].shape)  # block buffer, now free
+        gbuf[:n] = 0.0
         for ky in range(k):
             for kx in range(k):
-                img[:, :, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += grad_cols[:, :, ky, kx]
-    grad_w = grad_w.reshape(kernels.shape).astype(kernels.dtype, copy=False)
-    if not input_grad:
-        return None, grad_w
-    if padding:
-        gxp = gxp[:, :, padding:-padding, padding:-padding]
-    return gxp.astype(x.dtype, copy=False), grad_w
+                gwin[:n, :, ky, kx] += grad_cols[:, :, ky, kx]
+        gx[rows] = g_interior[:n]
+    return gx, grad_w.reshape(kernels.shape).astype(kernels.dtype, copy=False)
 
 
 def relu_forward(x):
@@ -151,6 +164,15 @@ def relu_forward(x):
 
 def relu_backward(x, grad_out):
     return grad_out * (x > 0)
+
+
+@functools.lru_cache(maxsize=32)
+def _window_starts(c, h, w, oh, ow, stride):
+    """Read-only flat [C, OH, OW] index of each pooling window's first element."""
+    starts = ((np.arange(c) * (h * w))[:, None, None]
+              + (np.arange(oh) * (stride * w))[:, None] + np.arange(ow) * stride)
+    starts.flags.writeable = False
+    return starts
 
 
 def maxpool_forward_batch(x, window: int, stride: int):
@@ -183,10 +205,9 @@ def maxpool_forward_batch(x, window: int, stride: int):
                 wins = ~(v <= running) & (running == running)
                 np.maximum(running, v, out=running)
                 np.maximum(offset, wins * (ky * w + kx), out=offset)
-    routing = offset + ((np.arange(c) * (h * w))[:, None, None]
-                        + (np.arange(oh) * (stride * w))[:, None] + np.arange(ow) * stride)
-    y = np.take_along_axis(x.reshape(b, c * h * w), routing.reshape(b, c * oh * ow), axis=1)
-    return y.reshape(routing.shape), routing
+    routing = offset + _window_starts(c, h, w, oh, ow, stride)
+    y = np.take(x, routing + (np.arange(b) * (c * h * w)).reshape(b, 1, 1, 1))
+    return y, routing
 
 
 def maxpool_backward_batch(x_shape, routing, grad_out):

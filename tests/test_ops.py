@@ -8,9 +8,11 @@ through the whole chain).
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pathscope import ops
@@ -400,3 +402,140 @@ def test_conv_grad_w_equals_einsum_at_stock_shapes(c_in, c_out, seed):
     none, gw_only = ops.conv2d_backward_batch(x, kernels, 1, 1, g_out, input_grad=False)
     assert none is None
     np.testing.assert_array_equal(gw_only, gw)
+
+
+def _im2col_windows(x, k, stride, padding):
+    """[B,C,k,k,OH,OW] sliding_window_view of the zero-padded input."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    return win.transpose(0, 1, 4, 5, 2, 3)
+
+
+def conv2d_im2col_forward(x, kernels, stride, padding):
+    """The cropped-width lowering: float64 columns [C*k*k, OH*OW] per image
+    from a sliding_window_view of the padded input, then `W @ cols`."""
+    c_out = kernels.shape[0]
+    win = _im2col_windows(x, kernels.shape[2], stride, padding)
+    b, oh, ow = x.shape[0], win.shape[4], win.shape[5]
+    wm = kernels.reshape(c_out, -1).astype(np.float64)
+    y = np.stack([wm @ np.ascontiguousarray(wi, dtype=np.float64).reshape(-1, oh * ow) for wi in win])
+    return y.reshape(b, c_out, oh, ow).astype(x.dtype)
+
+
+def conv2d_im2col_grad_input(x, kernels, stride, padding, g_out):
+    """The cropped-width grad-input: `W.T @ grad` per image, added back one
+    (ky, kx) slice at a time into a float64 padded image, then cropped."""
+    c_out, c_in, k, _ = kernels.shape
+    b, _, oh, ow = g_out.shape
+    h, w = x.shape[2:]
+    wm_t = kernels.reshape(c_out, -1).astype(np.float64).T
+    gxp = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding))
+    for img, gi in zip(gxp, g_out.reshape(b, c_out, oh * ow).astype(np.float64)):
+        grad_cols = (wm_t @ gi).reshape(c_in, k, k, oh, ow)
+        for ky in range(k):
+            for kx in range(k):
+                img[:, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += grad_cols[:, ky, kx]
+    return gxp[:, :, padding:padding + h, padding:padding + w].astype(x.dtype)
+
+
+def conv2d_grad_input_naive(x_shape, kernels, stride, padding, g_out):
+    """Loop scatter-add: every output adds kernel times its gradient over the
+    padded inputs its window read."""
+    b, c_in, h, w = x_shape
+    c_out, _, k, _ = kernels.shape
+    gxp = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding))
+    for i in range(b):
+        for co in range(c_out):
+            for oy in range(g_out.shape[2]):
+                for ox in range(g_out.shape[3]):
+                    ys, xs = oy * stride, ox * stride
+                    gxp[i, :, ys:ys + k, xs:xs + k] += kernels[co] * g_out[i, co, oy, ox]
+    return gxp[:, :, padding:padding + h, padding:padding + w]
+
+
+@pytest.mark.parametrize("c_in,c_out", [(1, 8), (8, 8), (1, 32), (32, 32)])
+@pytest.mark.parametrize("seed", range(3))
+def test_conv_equals_im2col_at_stock_shapes(c_in, c_out, seed):
+    # The stock profiles' conv geometry: the padded-width lowering's forward
+    # and grad-input equal the cropped-width lowering's bit for bit, which is
+    # what keeps every report and retrained model byte-identical.
+    rng = np.random.default_rng(seed)
+    kernels = (rng.standard_normal((c_out, c_in, 3, 3)) * np.sqrt(2 / (9 * c_in))).astype(np.float32)
+    for batch in [1, 7, 64] + ([256] if c_in == 8 else []):
+        x = rng.standard_normal((batch, c_in, 28, 28)).astype(np.float32)
+        for dtype in (np.float32, np.float64):
+            xd, kd = x.astype(dtype), kernels.astype(dtype)
+            y = ops.conv2d_forward_batch(xd, kd, 1, 1)
+            assert y.dtype == dtype
+            np.testing.assert_array_equal(y, conv2d_im2col_forward(xd, kd, 1, 1))
+        if batch in (1, 64):
+            g_out = (rng.standard_normal((batch, c_out, 28, 28)) * 1e-3).astype(np.float32)
+            gx, _ = ops.conv2d_backward_batch(x, kernels, 1, 1, g_out)
+            assert gx.dtype == np.float32
+            np.testing.assert_array_equal(gx, conv2d_im2col_grad_input(x, kernels, 1, 1, g_out))
+
+
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 2 * ops._CONV_BLOCK + 1),
+       stride=st.integers(1, 3), padding=st.integers(0, 2), k=st.integers(1, 4),
+       h=st.integers(1, 8), w=st.integers(1, 8))
+@example(seed=0, batch=ops._CONV_BLOCK + 1, stride=3, padding=1, k=2, h=5, w=6)  # Wp % stride == 2
+@example(seed=1, batch=ops._CONV_BLOCK + 2, stride=2, padding=2, k=4, h=3, w=7)  # Wp % stride == 1
+@settings(max_examples=40, deadline=None)
+def test_conv_padded_width_geometry_matches_naive(seed, batch, stride, padding, k, h, w):
+    # Strides, paddings and kernels past the stock 1/1/3 and non-square
+    # inputs: the columns past OW, which wrap into the next padded row or the
+    # buffer's tail, must never reach the output or the input gradient.
+    assume(h != w and k <= h + 2 * padding and k <= w + 2 * padding)
+    rng = np.random.default_rng(seed)
+    c_in, c_out = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    x = rng.standard_normal((batch, c_in, h, w))
+    kernels = rng.standard_normal((c_out, c_in, k, k))
+    y = ops.conv2d_forward_batch(x, kernels, stride, padding)
+    want = np.stack([conv2d_naive(xi, kernels, stride, padding) for xi in x])
+    assert y.shape == want.shape
+    assert rel_err(y, want) < 1e-12
+    g_out = rng.standard_normal(y.shape)
+    gx, _ = ops.conv2d_backward_batch(x, kernels, stride, padding, g_out)
+    assert gx.shape == x.shape
+    assert rel_err(gx, conv2d_grad_input_naive(x.shape, kernels, stride, padding, g_out)) < 1e-12
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conv_working_set_is_per_block():
+    # At batch 256 the lowering's buffers are per block of _CONV_BLOCK
+    # images: the peak beyond the returned arrays stays under 4 MB, where
+    # whole-batch float64 columns, outputs or padded copies take tens of MB.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((256, 8, 28, 28)).astype(np.float32)
+    kernels = (rng.standard_normal((8, 8, 3, 3)) * 0.1).astype(np.float32)
+    g_out = (rng.standard_normal((256, 8, 28, 28)) * 1e-3).astype(np.float32)
+    slack = 4 * 2**20
+    y, peak = _traced_peak(lambda: ops.conv2d_forward_batch(x, kernels, 1, 1))
+    assert peak < y.nbytes + slack
+    (gx, gw), peak = _traced_peak(lambda: ops.conv2d_backward_batch(x, kernels, 1, 1, g_out))
+    assert peak < gx.nbytes + gw.nbytes + slack
+
+
+def test_pool_window_starts_cache_is_not_shared_with_callers():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((2, 3, 6, 8))
+    _, routing = ops.maxpool_forward_batch(x, 2, 2)
+    starts = ops._window_starts(3, 6, 8, 3, 4, 2)
+    assert starts is ops._window_starts(3, 6, 8, 3, 4, 2)
+    assert not starts.flags.writeable
+    with pytest.raises(ValueError):
+        starts[0, 0, 0] = 1
+    assert routing.flags.writeable and not np.shares_memory(routing, starts)
+    kept = routing.copy()
+    ops.maxpool_forward_batch(rng.standard_normal((1, 2, 5, 7)), 3, 1)  # another geometry
+    np.testing.assert_array_equal(routing, kept)
+    routing += 1  # a caller's writes stay in its own routing
+    np.testing.assert_array_equal(ops.maxpool_forward_batch(x, 2, 2)[1], kept)
