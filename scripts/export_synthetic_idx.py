@@ -4,14 +4,17 @@
 The files use the classic big-endian IDX layout (magic 0x803 for images,
 0x801 for labels, unsigned bytes), so they are interchangeable with real
 MNIST files: anything exported here can be fed back through the CLI's
---data-images/--data-labels flags, and vice versa.
+--data-images/--data-labels flags, and vice versa. Bad values print
+`error: ...` and exit 2 before any file is written, as the CLI does.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from pathscope import synthetic_blobs, synthetic_digits, write_idx
 from pathscope.data import DEFAULT_SCALE_RANGE
+from pathscope.errors import PathscopeError
 
 
 def main() -> int:
@@ -28,23 +31,28 @@ def main() -> int:
     ap.add_argument("--outdir", default="data")
     args = ap.parse_args()
 
-    if args.kind == "digits":
-        kwargs = {}
-        if args.scale_min is not None or args.scale_max is not None:
-            lo, hi = DEFAULT_SCALE_RANGE
-            kwargs["scale_range"] = (args.scale_min or lo, args.scale_max or hi)
-        if args.small_fraction is not None:
-            kwargs["small_fraction"] = args.small_fraction
-        ds = synthetic_digits(args.n, seed=args.seed, **kwargs)
-    else:
-        ds = synthetic_blobs(args.n, seed=args.seed)
+    try:
+        if args.kind == "digits":
+            kwargs = {}
+            if args.scale_min is not None or args.scale_max is not None:
+                lo, hi = DEFAULT_SCALE_RANGE
+                kwargs["scale_range"] = (lo if args.scale_min is None else args.scale_min,
+                                         hi if args.scale_max is None else args.scale_max)
+            if args.small_fraction is not None:
+                kwargs["small_fraction"] = args.small_fraction
+            ds = synthetic_digits(args.n, seed=args.seed, **kwargs)
+        else:
+            ds = synthetic_blobs(args.n, seed=args.seed)
 
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    stem = f"{args.kind}-{args.n}-seed{args.seed}"
-    images = outdir / f"{stem}-images.idx"
-    labels = outdir / f"{stem}-labels.idx"
-    write_idx(ds, images, labels)
+        outdir = Path(args.outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        stem = f"{args.kind}-{args.n}-seed{args.seed}"
+        images = outdir / f"{stem}-images.idx"
+        labels = outdir / f"{stem}-labels.idx"
+        write_idx(ds, images, labels)
+    except (PathscopeError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     print(f"wrote {images} and {labels} ({len(ds)} samples, {ds.num_classes} classes)")
     return 0
 

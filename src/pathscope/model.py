@@ -96,7 +96,7 @@ def resolve(spec: ModelSpec) -> tuple[ResolvedLayer, ...]:
         if k == "conv":
             if len(shape) != 3:
                 raise SpecError(f"conv needs a [C,H,W] input, got {shape}")
-            if layer.out_channels < 1 or layer.kernel < 1:
+            if layer.out_channels < 1 or layer.kernel < 1 or layer.stride < 1 or layer.padding < 0:
                 raise SpecError(f"bad conv geometry: {layer}")
             oh, ow = ops.conv_output_hw(shape[1], shape[2], layer.kernel, layer.stride, layer.padding)
             if oh < 1 or ow < 1:
@@ -116,8 +116,8 @@ def resolve(spec: ModelSpec) -> tuple[ResolvedLayer, ...]:
         elif k == "maxpool":
             if len(shape) != 3:
                 raise SpecError(f"maxpool needs a [C,H,W] input, got {shape}")
-            if layer.window < 1 or layer.window > min(shape[1], shape[2]):
-                raise SpecError(f"pool window {layer.window} does not fit {shape}")
+            if layer.window < 1 or layer.stride < 1 or layer.window > min(shape[1], shape[2]):
+                raise SpecError(f"pool window {layer.window}, stride {layer.stride} do not fit {shape}")
             oh = (shape[1] - layer.window) // layer.stride + 1
             ow = (shape[2] - layer.window) // layer.stride + 1
             counters["maxpool"] += 1
@@ -257,6 +257,32 @@ def _layer_backward(r: ResolvedLayer, weights, x_in, aux, g, input_grad=True):
     return ops.fc_backward_batch(x_in, weights[r.name], g)
 
 
+def _forward_batch(weights, layers, xb, train=False, drop_rng=None):
+    """Run batch `xb` through `layers`, any slice of resolve(spec); returns
+    (output, cache), one (layer, its input, its _layer_forward aux) entry per
+    layer, which _backward_batch reverses."""
+    cache = []
+    cur = xb
+    for r in layers:
+        y, aux = _layer_forward(r, weights, cur, train, drop_rng)
+        cache.append((r, cur, aux))
+        cur = y
+    return cur, cache
+
+
+def _backward_batch(weights, cache, g, image_grad=True):
+    """Reverse sweep over a _forward_batch cache for upstream grad `g`;
+    returns (grad wrt the first cached input, parameter gradients summed over
+    the batch). With image_grad=False a leading conv layer skips its input
+    gradient, and the first element is None."""
+    grads: dict[str, np.ndarray] = {}
+    for i, (r, x_in, aux) in reversed(list(enumerate(cache))):
+        g, gw = _layer_backward(r, weights, x_in, aux, g, input_grad=image_grad or i > 0)
+        if gw is not None:
+            grads[r.name] = gw
+    return g, grads
+
+
 def forward(weights: dict[str, np.ndarray], spec: ModelSpec, x: np.ndarray) -> ForwardTrace:
     """Trace a single [C,H,W] input through the network (dropout inactive)."""
     resolved = resolve(spec)
@@ -264,14 +290,11 @@ def forward(weights: dict[str, np.ndarray], spec: ModelSpec, x: np.ndarray) -> F
     x = np.asarray(x)
     if tuple(x.shape) != spec.input_shape:
         raise ShapeError(f"input shape {x.shape} does not match spec {spec.input_shape}")
-    trace = ForwardTrace(input=x, names=[r.name for r in resolved], outputs={})
-    cur = x[None]
-    for r in resolved:
-        cur, routing = _layer_forward(r, weights, cur)
-        trace.outputs[r.name] = cur[0]
-        if routing is not None:
-            trace.routings[r.name] = routing[0]
-    return trace
+    out, cache = _forward_batch(weights, resolved, x[None])
+    names = [r.name for r in resolved]
+    outputs = [x_in[0] for _, x_in, _ in cache[1:]] + [out[0]]
+    routings = {r.name: aux[0] for r, _, aux in cache if aux is not None}
+    return ForwardTrace(x, names, dict(zip(names, outputs)), routings)
 
 
 def forward_from_layer(
@@ -283,10 +306,8 @@ def forward_from_layer(
     cur = np.asarray(activation)
     if tuple(cur.shape) != resolved[i].out_shape:
         raise ShapeError(f"activation shape {cur.shape} != {layer} output {resolved[i].out_shape}")
-    cur = cur[None]
-    for r in resolved[i + 1:]:
-        cur, _ = _layer_forward(r, weights, cur)
-    return cur[0]
+    out, _ = _forward_batch(weights, resolved[i + 1:], cur[None])
+    return out[0]
 
 
 def gradient_wrt_layer(
@@ -303,39 +324,14 @@ def gradient_wrt_layer(
         raise ArgumentError(f"class {class_index} out of range for {spec.num_classes} classes")
     g = np.zeros((1, spec.num_classes), dtype=trace.logits.dtype)
     g[0, class_index] = 1
-    for r in reversed(resolved[stop + 1:]):
-        routing = trace.routings.get(r.name)
-        g, _ = _layer_backward(r, weights, trace.pre_activation(r.name)[None],
-                               None if routing is None else routing[None], g)
+    cache = [(r, trace.pre_activation(r.name)[None],
+              trace.routings[r.name][None] if r.name in trace.routings else None)
+             for r in resolved[stop + 1:]]
+    g, _ = _backward_batch(weights, cache, g)
     return g[0]
 
 
-# --- batched training path ---
-
-def _forward_batch(weights, spec, xb, train=False, drop_rng=None):
-    """Batched forward; returns (logits, cache) where cache feeds _backward_batch."""
-    cache = []
-    cur = xb
-    for r in resolve(spec):
-        y, aux = _layer_forward(r, weights, cur, train, drop_rng)
-        cache.append((r, cur, aux))
-        cur = y
-    return cur, cache
-
-
-def _backward_batch(weights, cache, grad_logits):
-    """Reverse sweep over a batch cache; returns summed parameter gradients.
-
-    The first layer's input is the image, whose gradient nobody reads."""
-    grads: dict[str, np.ndarray] = {}
-    g = grad_logits
-    for i in reversed(range(len(cache))):
-        r, x_in, aux = cache[i]
-        g, gw = _layer_backward(r, weights, x_in, aux, g, input_grad=i > 0)
-        if gw is not None:
-            grads[r.name] = gw
-    return grads
-
+# --- training and batched prediction ---
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -374,13 +370,14 @@ def train_sgd(weights, spec, dataset, config: TrainConfig):
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
             xb = images[idx]
-            logits, cache = _forward_batch(w, spec, xb, train=True, drop_rng=drop_rng)
+            logits, cache = _forward_batch(w, resolve(spec), xb, train=True, drop_rng=drop_rng)
             losses, grad_logits = ops.softmax_cross_entropy_batch(logits, labels[idx])
             loss = float(losses.mean())
             if not math.isfinite(loss):
                 raise NumericalError(f"non-finite loss {loss} at epoch {_epoch}, sample offset {start}")
             epoch_loss += loss * len(idx)
-            grads = _backward_batch(w, cache, grad_logits / np.float32(len(idx)))
+            _, grads = _backward_batch(w, cache, grad_logits / np.float32(len(idx)),
+                                       image_grad=False)
             for name, gw in grads.items():
                 w[name] -= np.float32(lr) * gw
         history.append(epoch_loss / n)
@@ -394,7 +391,7 @@ def predict_batch(weights, spec, images) -> np.ndarray:
     """Argmax class per image; ties break to the lowest class index."""
     preds = []
     for start in range(0, len(images), _PREDICT_BATCH):
-        logits, _ = _forward_batch(weights, spec, images[start:start + _PREDICT_BATCH])
+        logits, _ = _forward_batch(weights, resolve(spec), images[start:start + _PREDICT_BATCH])
         preds.append(np.argmax(logits, axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 

@@ -6,10 +6,11 @@ elements, where a path is active iff every intermediate neuron it visits is
 on and every weight it crosses is nonzero (fully-connected weights must
 additionally survive the clip threshold).
 
-`pathcount_forward` computes all counts at once by propagating an all-ones
-input through binarized weights, gating at ReLUs and routing through pool
-argmax winners. `pathcount_bruteforce` enumerates complete paths one by one
-(no memoization) and exists to cross-check the forward recurrence.
+`pathcount_forward` computes all counts at once: the model's own forward
+pass of an all-ones input over binarized weights, where only ReLU (gated by
+the traced on/off pattern) and max-pool (routed by the traced argmax) read
+the trace. `pathcount_bruteforce` enumerates complete paths one by one (no
+memoization) and exists to cross-check the forward recurrence.
 
 Counts are float64: integer-exact below 2**53, with an exactness flag beyond.
 """
@@ -20,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops
 from .errors import ArgumentError, SizeError
-from .model import ForwardTrace, ModelSpec, layer_index, resolve
+from .model import ForwardTrace, ModelSpec, _layer_forward, layer_index, resolve
 
 _EXACT_LIMIT = float(2**53)
 
@@ -78,30 +78,24 @@ def pathcount_forward(
 ) -> PathCountMap:
     """All-ones propagation: every input element contributes one path.
 
-    Convolution/fc layers sum counts over surviving weights; ReLU layers zero
-    the counts of off neurons; pools forward the argmax winner's count;
-    padding positions contribute nothing; dropout and flatten are identity.
+    Conv/fc layers sum counts over surviving weights (padding contributes
+    nothing; dropout and flatten are identity); ReLU layers zero the counts
+    of off neurons; pools forward the argmax winner's count.
     """
-    pattern = extract_onoff(trace)
+    resolved = resolve(spec)
+    binary = {r.name: clip_fc_weights(weights[r.name], clip) if r.spec.kind == "fc"
+              else (np.abs(weights[r.name]) > 0).astype(np.float64)
+              for r in resolved if r.name in weights}
     counts: dict[str, np.ndarray] = {}
-    cur = np.ones(spec.input_shape, dtype=np.float64)
-    for r in resolve(spec):
-        s = r.spec
-        if s.kind == "conv":
-            ones_w = (np.abs(weights[r.name]) > 0).astype(np.float64)
-            cur = ops.conv2d_forward_batch(cur[None], ones_w, s.stride, s.padding)[0]
-        elif s.kind == "relu":
-            cur = cur * pattern[r.name]
-        elif s.kind == "maxpool":
-            routing = trace.routings[r.name]
-            cur = np.take(cur.reshape(-1), routing)
-        elif s.kind == "flatten":
-            cur = cur.reshape(-1)
-        elif s.kind == "fc":
-            mask = clip_fc_weights(weights[r.name], clip)
-            cur = ops.fc_forward_batch(cur[None], mask)[0]
-        # dropout: identity
-        counts[r.name] = cur
+    cur = np.ones((1, *spec.input_shape), dtype=np.float64)
+    for r in resolved:
+        if r.spec.kind == "relu":
+            cur = cur * (trace.outputs[r.name] > 0)
+        elif r.spec.kind == "maxpool":
+            cur = np.take(cur.reshape(-1), trace.routings[r.name])[None]
+        else:
+            cur, _ = _layer_forward(r, binary, cur)
+        counts[r.name] = cur[0]
     exact = all(float(c.max(initial=0.0)) <= _EXACT_LIMIT for c in counts.values())
     return PathCountMap(counts, exact)
 

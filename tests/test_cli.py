@@ -600,3 +600,22 @@ def test_config_value_outside_choices_exits_2(tmp_path, capsys, command, key, va
     with pytest.raises(SystemExit) as flag_exit:
         run(command, "--" + key.replace("_", "-"), value)
     assert flag_exit.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# scripts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args", [["--scale-min", "0"], ["--n", "0"],
+                                  ["--small-fraction", "2"]])
+def test_export_script_bad_value_exits_2_without_writing(tmp_path, args):
+    # 0 is a given value, not a missing flag: rejected, never replaced by the default
+    src = os.path.dirname(os.path.dirname(pathscope.__file__))
+    script = os.path.join(os.path.dirname(src), "scripts", "export_synthetic_idx.py")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "idx"
+    proc = subprocess.run([sys.executable, script, "--n", "5", *args, "--outdir", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert not out.exists()

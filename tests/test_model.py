@@ -19,6 +19,7 @@ from pathscope.model import (
     desk_spec,
     param_shapes,
     predict_batch,
+    resolve,
     serialize_model,
 )
 
@@ -69,6 +70,10 @@ def test_spec_errors():
     # pool window too large
     with pytest.raises(SpecError):
         ps.layer_names(ps.ModelSpec((1, 4, 4), 2, (ps.maxpool(5, 5), ps.flatten(), ps.fc(2))))
+    # conv stride or padding, pool stride out of range
+    for bad in (ps.conv(1, 3, 0, 1), ps.conv(1, 3, 1, -1), ps.maxpool(2, 0)):
+        with pytest.raises(SpecError):
+            ps.layer_names(ps.ModelSpec((1, 4, 4), 2, (bad, ps.flatten(), ps.fc(2))))
 
 
 def test_forward_zero_input_is_all_zero(small_conv_model):
@@ -257,11 +262,11 @@ def test_dropout_training_only():
                         (ps.dropout(0.5), ps.flatten(), ps.fc(2)))
     weights = ps.build_model(spec, 0)
     x = np.ones((3, 1, 4, 4), dtype=np.float32)
-    eval_logits, _ = _forward_batch(weights, spec, x)
+    eval_logits, _ = _forward_batch(weights, resolve(spec), x)
     rng = np.random.default_rng(0)
-    train_logits, _ = _forward_batch(weights, spec, x, train=True, drop_rng=rng)
+    train_logits, _ = _forward_batch(weights, resolve(spec), x, train=True, drop_rng=rng)
     assert not np.array_equal(eval_logits, train_logits)
-    eval_again, _ = _forward_batch(weights, spec, x)
+    eval_again, _ = _forward_batch(weights, resolve(spec), x)
     np.testing.assert_array_equal(eval_logits, eval_again)
 
 
@@ -359,11 +364,11 @@ def test_desk_asset_round_trips_to_its_own_bytes():
     assert serialize_model(weights, spec) == path.read_bytes()
 
 
-def _with_first_layer(blob: bytes, entry) -> bytes:
-    """`blob` with its header's first layer entry replaced by `entry`."""
+def _with_layer(blob: bytes, entry, index: int = 0) -> bytes:
+    """`blob` with its header's layer entry `index` replaced by `entry`."""
     (hlen,) = struct.unpack("<I", blob[5:9])
     header = json.loads(blob[9:9 + hlen])
-    header["layers"][0] = entry
+    header["layers"][index] = entry
     new = json.dumps(header).encode("utf-8")
     return blob[:5] + struct.pack("<I", len(new)) + new + blob[9 + hlen:]
 
@@ -381,7 +386,21 @@ def _with_first_layer(blob: bytes, entry) -> bytes:
 def test_load_rejects_bad_layer_entry(tmp_path, small_conv_model, entry):
     spec, weights = small_conv_model
     bad = tmp_path / "bad.npsc"
-    bad.write_bytes(_with_first_layer(serialize_model(weights, spec), entry))
+    bad.write_bytes(_with_layer(serialize_model(weights, spec), entry))
+    with pytest.raises(FormatError):
+        ps.load_model(bad)
+
+
+@pytest.mark.parametrize("index, entry", [
+    (0, {"kind": "conv", "out_channels": 8, "kernel": 3, "stride": 0, "padding": 1}),
+    (0, {"kind": "conv", "out_channels": 8, "kernel": 3, "stride": 1, "padding": -1}),
+    (6, {"kind": "maxpool", "window": 2, "stride": 0}),
+])
+def test_load_rejects_bad_stride_or_padding(tmp_path, index, entry):
+    # the header is outside input: bad geometry is a FormatError, never a crash
+    spec = desk_spec()
+    bad = tmp_path / "bad.npsc"
+    bad.write_bytes(_with_layer(serialize_model(ps.build_model(spec, 0), spec), entry, index))
     with pytest.raises(FormatError):
         ps.load_model(bad)
 

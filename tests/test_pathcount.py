@@ -311,6 +311,34 @@ def test_sparse_kernel_counts_match_bruteforce():
         np.testing.assert_array_equal(fast.layer(name), expected)
 
 
+_LAYER_MIXES = {
+    "dropout_between_conv_blocks": ((1, 4, 4), (conv(2), relu(), dropout(0.5), conv(2), relu(),
+                                                maxpool(), flatten(), fc(2))),
+    "overlapping_pool": ((1, 5, 5), (conv(2), relu(), maxpool(3, 1), flatten(), fc(2))),
+    "padding_0_conv": ((2, 5, 5), (conv(2, kernel=2, stride=1, padding=0), relu(), conv(2),
+                                   relu(), maxpool(), flatten(), fc(2))),
+    "fc_hidden_layer": ((1, 4, 4), (conv(2), relu(), maxpool(), flatten(), fc(5), relu(),
+                                    dropout(0.25), fc(2))),
+}
+
+
+@pytest.mark.parametrize("clip", [ClipConfig(), ClipConfig("mean")], ids=["absolute", "mean"])
+@pytest.mark.parametrize("mix", sorted(_LAYER_MIXES))
+def test_layer_mixes_match_bruteforce(mix, clip):
+    # every kind pathcount_forward runs through the model's own layer step
+    # (conv, fc, flatten, dropout) between the two that read the trace
+    shape, layers = _LAYER_MIXES[mix]
+    spec = ModelSpec(shape, 2, layers)
+    weights = build_model(spec, seed=6)
+    x = np.random.default_rng(6).normal(size=shape).astype(np.float32)
+    trace = forward(weights, spec, x)
+    fast = pathcount_forward(weights, spec, trace, clip)
+    slow = all_counts(weights, spec, trace, clip)
+    assert fast.layers.keys() == slow.keys()
+    for name, expected in slow.items():
+        np.testing.assert_array_equal(fast.layer(name), expected)
+
+
 # ---------------------------------------------------------------------------
 # exactness flag and enumeration guards
 # ---------------------------------------------------------------------------
