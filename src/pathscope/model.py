@@ -238,10 +238,11 @@ def _layer_forward(r: ResolvedLayer, weights, x, train=False, drop_rng=None):
     return ops.fc_forward_batch(x, weights[r.name]), None
 
 
-def _layer_backward(r: ResolvedLayer, weights, x_in, aux, g, input_grad=True):
+def _layer_backward(r: ResolvedLayer, weights, x_in, aux, g, input_grad=True, weight_grad=True):
     """Reverse of _layer_forward for upstream grad `g`; returns
     (grad wrt x_in, weight grad summed over the batch or None). A conv layer
-    given input_grad=False skips its input gradient and returns None for it."""
+    given input_grad=False skips its input gradient and returns None for it,
+    and an fc layer given weight_grad=False its weight gradient."""
     s = r.spec
     if s.kind == "conv":
         return ops.conv2d_backward_batch(x_in, weights[r.name], s.stride, s.padding, g,
@@ -254,7 +255,7 @@ def _layer_backward(r: ResolvedLayer, weights, x_in, aux, g, input_grad=True):
         return (g if aux is None else g * aux), None
     if s.kind == "flatten":
         return g.reshape(x_in.shape), None
-    return ops.fc_backward_batch(x_in, weights[r.name], g)
+    return ops.fc_backward_batch(x_in, weights[r.name], g, weight_grad=weight_grad)
 
 
 def _forward_batch(weights, layers, xb, train=False, drop_rng=None):
@@ -270,14 +271,15 @@ def _forward_batch(weights, layers, xb, train=False, drop_rng=None):
     return cur, cache
 
 
-def _backward_batch(weights, cache, g, image_grad=True):
+def _backward_batch(weights, cache, g, image_grad=True, weight_grad=True):
     """Reverse sweep over a _forward_batch cache for upstream grad `g`;
     returns (grad wrt the first cached input, parameter gradients summed over
     the batch). With image_grad=False a leading conv layer skips its input
-    gradient, and the first element is None."""
+    gradient, and the first element is None; with weight_grad=False no fc
+    layer computes its weight gradient."""
     grads: dict[str, np.ndarray] = {}
     for i, (r, x_in, aux) in reversed(list(enumerate(cache))):
-        g, gw = _layer_backward(r, weights, x_in, aux, g, input_grad=image_grad or i > 0)
+        g, gw = _layer_backward(r, weights, x_in, aux, g, image_grad or i > 0, weight_grad)
         if gw is not None:
             grads[r.name] = gw
     return g, grads
@@ -327,7 +329,7 @@ def gradient_wrt_layer(
     cache = [(r, trace.pre_activation(r.name)[None],
               trace.routings[r.name][None] if r.name in trace.routings else None)
              for r in resolved[stop + 1:]]
-    g, _ = _backward_batch(weights, cache, g)
+    g, _ = _backward_batch(weights, cache, g, weight_grad=False)
     return g[0]
 
 

@@ -21,10 +21,11 @@ contiguous slice; the extra OWp - OW output columns are cropped. Forward is
 upstream gradient with zero columns to OWp. The kernel gradient is a GEMM
 over the same columns (Chellapilla, Puri and Simard, 2006): `grad @ cols.T`
 per image, accumulated in float64 in image order and cast once at the end.
-Grad-input is `W.T @ grad`, added back one (ky, kx) slice at a time into a
-padded buffer through the same window view; the extra columns add only
-+-0.0 to sums that start at +0.0, so each input position sums its real
-terms in (ky, kx) order. Every image is its own matmul, so a row's result
+Grad-input is the same lowering run on the upstream gradient at stride 1
+and padding k-1-p, with kernels flipped in both spatial axes and swapped in
+channels: the transposed convolution (Dumoulin and Visin, arXiv:1603.07285).
+At stride s it first gets s-1 zeros between entries; at p > k-1 it is
+cropped instead of padded. Every image is its own matmul, so a row's result
 does not depend on the batch it came in.
 
 Max pooling walks the window offsets over strided views. An element takes
@@ -53,33 +54,22 @@ _CONV_BLOCK = 4
 
 def conv_output_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tuple[int, int]:
     """Spatial output extents of a cross-correlation with zero padding."""
-    oh = (h + 2 * padding - kernel) // stride + 1
-    ow = (w + 2 * padding - kernel) // stride + 1
-    return oh, ow
-
-
-def _padded_windows(n, c, h, w, kernel, stride, padding):
-    """A float64 zero buffer [n, C, L] for n zero-padded images, its interior
-    view [n, C, H, W] and its padded-width window view [n, C, k, k, OH, OWp].
-
-    Each channel is the Hp x Wp padded image flattened row-major, plus a k-1
-    tail: a window's columns run over the whole padded row (OWp = ceil(Wp /
-    stride)), and the last window's extra columns read past the image end.
-    """
-    hp, wp = h + 2 * padding, w + 2 * padding
-    buf = np.zeros((n, c, hp * wp + kernel - 1))
-    e = buf.itemsize
-    win = as_strided(buf, (n, c, kernel, kernel, (hp - kernel) // stride + 1, -(-wp // stride)),
-                     (*buf.strides[:2], wp * e, e, stride * wp * e, stride * e))
-    interior = buf[:, :, :hp * wp].reshape(n, c, hp, wp)[:, :, padding:padding + h, padding:padding + w]
-    return buf, interior, win
+    return (h + 2 * padding - kernel) // stride + 1, (w + 2 * padding - kernel) // stride + 1
 
 
 def _column_blocks(x, kernel, stride, padding):
     """Yield (slice, float64 columns [n, C*k*k, OH*OWp]) for blocks of
-    _CONV_BLOCK images, reusing one padded buffer and one column buffer."""
+    _CONV_BLOCK images through one reused padded buffer (per channel the
+    Hp x Wp image row-major, plus the k-1 tail that the last window's extra
+    columns read) and one reused column buffer."""
     b, c, h, w = x.shape
-    _, interior, win = _padded_windows(min(b, _CONV_BLOCK), c, h, w, kernel, stride, padding)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    n = min(b, _CONV_BLOCK)
+    pad = np.zeros((n, c, hp * wp + kernel - 1))
+    e = pad.itemsize
+    win = as_strided(pad, (n, c, kernel, kernel, (hp - kernel) // stride + 1, -(-wp // stride)),
+                     (*pad.strides[:2], wp * e, e, stride * wp * e, stride * e))
+    interior = pad[:, :, :hp * wp].reshape(n, c, hp, wp)[:, :, padding:padding + h, padding:padding + w]
     buf = np.empty(win.shape)
     for start in range(0, b, _CONV_BLOCK):
         n = min(_CONV_BLOCK, b - start)
@@ -107,14 +97,12 @@ def _check_conv_shapes(x, kernels, stride, padding):
         )
 
 
-def conv2d_forward_batch(x, kernels, stride: int = 1, padding: int = 0):
-    """Bias-free cross-correlation of [B,C,H,W] with [C_out,C,k,k] kernels."""
-    _check_conv_shapes(x, kernels, stride, padding)
-    c_out, _, k, _ = kernels.shape
-    b, _, h, w = x.shape
-    oh, ow = conv_output_hw(h, w, k, stride, padding)
-    wm = kernels.reshape(c_out, -1).astype(np.float64, copy=False)
-    y = np.empty((b, c_out, oh, ow), dtype=x.dtype)
+def _conv(x, wm, k, stride, padding):
+    """Cross-correlation of [B,C,H,W] with float64 kernels wm [C_out, C*k*k]
+    into a new [B,C_out,OH,OW] array of x's dtype."""
+    c_out = len(wm)
+    oh, ow = conv_output_hw(x.shape[2], x.shape[3], k, stride, padding)
+    y = np.empty((len(x), c_out, oh, ow), dtype=x.dtype)
     for rows, cols in _column_blocks(x, k, stride, padding):
         if rows.start == 0:  # the first block is the largest
             buf = np.empty((len(cols), c_out, cols.shape[2]))
@@ -123,38 +111,47 @@ def conv2d_forward_batch(x, kernels, stride: int = 1, padding: int = 0):
     return y
 
 
-def conv2d_backward_batch(x, kernels, stride, padding, grad_out, input_grad=True):
-    """Gradients of conv2d wrt input and kernels for an upstream [B,C_out,OH,OW] grad.
+def conv2d_forward_batch(x, kernels, stride: int = 1, padding: int = 0):
+    """Bias-free cross-correlation of [B,C,H,W] with [C_out,C,k,k] kernels."""
+    _check_conv_shapes(x, kernels, stride, padding)
+    wm = kernels.reshape(len(kernels), -1).astype(np.float64, copy=False)
+    return _conv(x, wm, kernels.shape[2], stride, padding)
 
-    With input_grad=False the input gradient is not computed and comes back
-    as None; the kernel gradient is the same either way.
-    """
+
+def _dilated(g, h, w, k, stride, padding):
+    """g with s-1 zeros between entries, extended to H+2p-k+1 rows and columns,
+    less p-(k-1) on each side when p > k-1; g itself at stride 1, p <= k-1."""
+    if stride == 1 and padding <= k - 1:
+        return g
+    full = np.zeros((*g.shape[:2], h + 2 * padding - k + 1, w + 2 * padding - k + 1), dtype=g.dtype)
+    full[:, :, ::stride, ::stride] = g
+    crop = max(padding - (k - 1), 0)
+    return full[:, :, crop:full.shape[2] - crop, crop:full.shape[3] - crop]
+
+
+def conv2d_backward_batch(x, kernels, stride, padding, grad_out, input_grad=True):
+    """Gradients of conv2d wrt input and kernels for an upstream [B,C_out,OH,OW]
+    grad; with input_grad=False the input gradient is skipped and comes back None."""
     _check_conv_shapes(x, kernels, stride, padding)
     c_out, c, k, _ = kernels.shape
     b, _, h, w = x.shape
     oh, ow = conv_output_hw(h, w, k, stride, padding)
     if grad_out.shape != (b, c_out, oh, ow):
         raise ShapeError(f"upstream grad shape {grad_out.shape} != {(b, c_out, oh, ow)}")
-    wm_t = kernels.reshape(c_out, -1).astype(np.float64, copy=False).T
+    gx = None
+    if input_grad:  # first, so its block buffers are freed before the kernel gradient's
+        flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        g = _dilated(grad_out, h, w, k, stride, padding)
+        gx = _conv(g, flipped.astype(np.float64, copy=False), k, 1, max(k - 1 - padding, 0))
+        gx = gx.astype(x.dtype, copy=False)
     grad_w = np.zeros((c_out, c * k * k))
-    n = min(b, _CONV_BLOCK)
-    gbuf, g_interior, gwin = _padded_windows(n, c, h, w, k, stride, padding)
-    g = np.zeros((n, c_out, oh, gwin.shape[5]))  # upstream grad, zero past column OW
-    gx = np.empty(x.shape, dtype=x.dtype) if input_grad else None
+    # upstream grad, zero past column OW to the lowering's OWp columns
+    g = np.zeros((min(b, _CONV_BLOCK), c_out, oh, -(-(w + 2 * padding) // stride)))
     for rows, cols in _column_blocks(x, k, stride, padding):
         n = len(cols)
         g[:n, ..., :ow] = grad_out[rows]
-        gm = g[:n].reshape(n, c_out, -1)
-        for gi, ci in zip(gm, cols):
+        for gi, ci in zip(g[:n].reshape(n, c_out, -1), cols):
             grad_w += gi @ ci.T
-        if not input_grad:
-            continue
-        grad_cols = np.matmul(wm_t, gm, out=cols).reshape(gwin[:n].shape)  # block buffer, now free
-        gbuf[:n] = 0.0
-        for ky in range(k):
-            for kx in range(k):
-                gwin[:n, :, ky, kx] += grad_cols[:, :, ky, kx]
-        gx[rows] = g_interior[:n]
     return gx, grad_w.reshape(kernels.shape).astype(kernels.dtype, copy=False)
 
 
@@ -235,13 +232,15 @@ def fc_forward_batch(x, weights):
     return y.astype(x.dtype, copy=False)
 
 
-def fc_backward_batch(x, weights, grad_out):
+def fc_backward_batch(x, weights, grad_out, weight_grad=True):
+    """Gradients wrt input and weights; the latter is None with weight_grad=False."""
     if grad_out.shape != (x.shape[0], weights.shape[0]):
         raise ShapeError(f"upstream grad shape {grad_out.shape} != {(x.shape[0], weights.shape[0])}")
     g = grad_out.astype(np.float64, copy=False)
     grad_x = (g @ weights.astype(np.float64, copy=False)).astype(x.dtype, copy=False)
-    grad_w = (g.T @ x.astype(np.float64, copy=False)).astype(weights.dtype, copy=False)
-    return grad_x, grad_w
+    if not weight_grad:
+        return grad_x, None
+    return grad_x, (g.T @ x.astype(np.float64, copy=False)).astype(weights.dtype, copy=False)
 
 
 def softmax_cross_entropy_batch(logits, labels):

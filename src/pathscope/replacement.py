@@ -162,6 +162,9 @@ def sweep(
     kinds = tuple(kinds)
     if not kinds:
         raise ArgumentError("no replacement kinds given")
+    repeated = sorted({k for k in kinds if kinds.count(k) > 1})
+    if repeated:
+        raise ArgumentError(f"replacement kind given more than once: {', '.join(repeated)}")
     layers = replaceable_layers(spec)
     for kind in kinds:
         for layer in layers:

@@ -379,6 +379,17 @@ def test_sweep_bad_kind_exits_2(conv_fixture, tmp_path):
                "--out", str(tmp_path / "o")) == 2
 
 
+def test_sweep_repeated_kind_exits_2_without_writing(conv_fixture, tmp_path, capsys):
+    # A repeated kind would write each of its rows twice, and SweepReport.row
+    # would find only the first.
+    model, images, labels = conv_fixture
+    assert run("replace-sweep", "--model", model, "--data-images", images,
+               "--data-labels", labels, "--kinds", "identity,scaled_onoff,identity",
+               "--out", str(tmp_path / "o")) == 2
+    assert "identity" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
 def test_correlate_single_model(conv_fixture, tmp_path):
     model, images, labels = conv_fixture
     out = tmp_path / "o"

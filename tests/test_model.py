@@ -422,3 +422,27 @@ def test_train_skips_only_the_first_conv_input_gradient(monkeypatch):
     ds = ps.synthetic_blobs(12, classes=2, image_hw=8, seed=0)
     ps.train_sgd(ps.build_model(spec, 0), spec, ds, ps.TrainConfig(0.05, 1, 4, 0))
     assert asked == [(4, True), (3, True), (1, False)] * 3  # 12 images, batch 4
+
+
+def test_gradient_wrt_layer_asks_no_fc_weight_gradient(monkeypatch):
+    # Analysis reads only the gradient wrt a layer's output, so every fc layer
+    # it crosses skips its weight gradient; training still asks for it.
+    asked = []
+    real = ops.fc_backward_batch
+
+    def spy(x, weights, grad_out, weight_grad=True):
+        asked.append(weight_grad)
+        gx, gw = real(x, weights, grad_out, weight_grad=weight_grad)
+        assert (gw is None) == (not weight_grad)
+        np.testing.assert_array_equal(gx, real(x, weights, grad_out)[0])
+        return gx, gw
+
+    monkeypatch.setattr(ops, "fc_backward_batch", spy)
+    spec = ps.ModelSpec((1, 4, 4), 3, (ps.flatten(), ps.fc(5), ps.relu(), ps.fc(3)))
+    weights = ps.build_model(spec, 0)
+    x = np.random.default_rng(0).standard_normal((1, 4, 4)).astype(np.float32)
+    ps.gradient_wrt_layer(weights, spec, ps.forward(weights, spec, x), "flatten1", 1)
+    assert asked == [False, False]
+    ds = ps.synthetic_blobs(4, classes=3, image_hw=4, seed=0)
+    ps.train_sgd(weights, spec, ds, ps.TrainConfig(0.05, 1, 4, 0))
+    assert asked == [False, False, True, True]

@@ -8,6 +8,7 @@ through the whole chain).
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pathscope import ops
+import pathscope as ps
+from pathscope import model, ops
 from pathscope.errors import ArgumentError, ShapeError
 
 
@@ -498,6 +500,65 @@ def test_conv_padded_width_geometry_matches_naive(seed, batch, stride, padding, 
     gx, _ = ops.conv2d_backward_batch(x, kernels, stride, padding, g_out)
     assert gx.shape == x.shape
     assert rel_err(gx, conv2d_grad_input_naive(x.shape, kernels, stride, padding, g_out)) < 1e-12
+
+
+@pytest.mark.parametrize("k,stride,padding,h,w", [
+    (1, 1, 1, 5, 4),  # p > k-1: the upstream grad is cropped, not padded
+    (2, 1, 2, 4, 6),
+    (1, 2, 2, 6, 8),  # cropped and dilated
+    (3, 2, 1, 6, 8),  # (H+2p-k) mod s == 1 in each axis
+    (2, 3, 0, 7, 9),  # mod 3: 2 rows, 1 column
+    (4, 3, 1, 9, 7),  # mod 3: 1 row, 2 columns
+])
+def test_conv_grad_input_geometry_cases(k, stride, padding, h, w):
+    # The grad-input correlation's dilation, extension and crop, each in a
+    # fixed case on non-square inputs across a _CONV_BLOCK boundary.
+    rng = np.random.default_rng(k * 100 + stride * 10 + padding)
+    x = rng.standard_normal((ops._CONV_BLOCK + 1, 2, h, w))
+    kernels = rng.standard_normal((3, 2, k, k))
+    oh, ow = ops.conv_output_hw(h, w, k, stride, padding)
+    assert stride == 1 or ((h + 2 * padding - k) % stride and (w + 2 * padding - k) % stride)
+    g_out = rng.standard_normal((len(x), 3, oh, ow))
+    gx, _ = ops.conv2d_backward_batch(x, kernels, stride, padding, g_out)
+    want = conv2d_grad_input_naive(x.shape, kernels, stride, padding, g_out)
+    assert gx.dtype == np.float64 and gx.shape == x.shape
+    assert rel_err(gx, want) < 1e-12
+    gx32, _ = ops.conv2d_backward_batch(x.astype(np.float32), kernels.astype(np.float32),
+                                        stride, padding, g_out.astype(np.float32))
+    assert gx32.dtype == np.float32
+    assert rel_err(gx32, want) < 1e-5
+
+
+@pytest.mark.parametrize("profile,n", [("desk", 200), ("reference", 64)])
+def test_training_with_im2col_grad_input_is_byte_identical(monkeypatch, profile, n):
+    # One epoch of each stock profile, trained once with the real kernels and
+    # once with the cropped-width add-back oracle's input gradient: the saved
+    # models are equal byte for byte on whatever BLAS runs the test.
+    spec = getattr(model, f"{profile}_spec")()
+    config = dataclasses.replace(getattr(model, f"{profile}_train_config")(seed=3), epochs=1)
+    data = ps.synthetic_digits(n, seed=5, small_fraction=0.15)
+
+    def train():
+        weights, _ = ps.train_sgd(ps.build_model(spec, seed=3), spec, data, config)
+        return model.serialize_model(weights, spec)
+
+    real = ops.conv2d_backward_batch
+    oracle_calls = []
+
+    def oracle(x, kernels, stride, padding, grad_out, input_grad=True):
+        _, gw = real(x, kernels, stride, padding, grad_out, input_grad=False)
+        if not input_grad:
+            return None, gw
+        oracle_calls.append(len(x))
+        return conv2d_im2col_grad_input(x, kernels, stride, padding, grad_out), gw
+
+    want = train()
+    monkeypatch.setattr(ops, "conv2d_backward_batch", oracle)
+    got = train()
+    convs = sum(layer.kind == "conv" for layer in spec.layers)
+    batches = -(-n // config.batch_size)
+    assert len(oracle_calls) == (convs - 1) * batches  # every conv layer but the first
+    assert got == want
 
 
 def _traced_peak(fn):
