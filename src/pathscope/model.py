@@ -71,6 +71,12 @@ class ModelSpec:
     num_classes: int
     layers: tuple[LayerSpec, ...]
 
+    @functools.cached_property
+    def _resolved(self) -> tuple[ResolvedLayer, ...]:
+        # kept in the instance dict, outside the fields that eq, hash and repr
+        # read; a SpecError is raised again on every access, never cached
+        return _resolve(self)
+
 
 class ResolvedLayer(NamedTuple):
     spec: LayerSpec
@@ -79,9 +85,13 @@ class ResolvedLayer(NamedTuple):
     out_shape: tuple[int, ...]
 
 
-@functools.lru_cache(maxsize=64)
 def resolve(spec: ModelSpec) -> tuple[ResolvedLayer, ...]:
-    """Assign names and propagate shapes; raises SpecError if layers don't compose."""
+    """Assign names and propagate shapes; raises SpecError if layers don't compose.
+    Resolved once per spec object and kept on it."""
+    return spec._resolved
+
+
+def _resolve(spec: ModelSpec) -> tuple[ResolvedLayer, ...]:
     if len(spec.input_shape) != 3 or any(d < 1 for d in spec.input_shape):
         raise SpecError(f"input shape must be [C,H,W] positive, got {spec.input_shape}")
     if spec.num_classes < 2:
@@ -386,7 +396,9 @@ def train_sgd(weights, spec, dataset, config: TrainConfig):
     return w, history
 
 
-_PREDICT_BATCH = 256
+# The training batch: _forward_batch keeps every layer's input for a reverse
+# sweep, so a larger inference batch only holds more memory that no one reads.
+_PREDICT_BATCH = 64
 
 
 def predict_batch(weights, spec, images) -> np.ndarray:

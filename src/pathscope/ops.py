@@ -11,8 +11,13 @@ the same kernels.
 
 Convolution is lowered channel-major (im2col in the layout cuDNN uses),
 _CONV_BLOCK images at a time, so every buffer is per block and stays in
-cache. A block's images are copied into one reused float64 zero buffer,
-each channel the zero-padded Hp x Wp image flattened row-major. A strided
+cache. The lowering's buffers are kept per geometry (_lowering), not built
+per call; building them was most of a batch-1 call's setup. They are
+per-process scratch: two live _column_blocks of one geometry would clobber
+each other, so backward runs its grad-input lowering to the end before the
+kernel gradient's starts. A block's images are copied into the geometry's
+float64 zero buffer, each channel the zero-padded Hp x Wp image flattened
+row-major. A strided
 window view [n,C,k,k,OH,OWp] of it gives columns with rows in (c, ky, kx)
 order, matching `kernels.reshape(C_out, -1)`. The columns span the whole
 padded row (OWp = ceil(Wp / stride)), so at stride 1 each row is one
@@ -57,20 +62,27 @@ def conv_output_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tu
     return (h + 2 * padding - kernel) // stride + 1, (w + 2 * padding - kernel) // stride + 1
 
 
-def _column_blocks(x, kernel, stride, padding):
-    """Yield (slice, float64 columns [n, C*k*k, OH*OWp]) for blocks of
-    _CONV_BLOCK images through one reused padded buffer (per channel the
-    Hp x Wp image row-major, plus the k-1 tail that the last window's extra
-    columns read) and one reused column buffer."""
-    b, c, h, w = x.shape
+@functools.lru_cache(maxsize=16)
+def _lowering(n, c, h, w, kernel, stride, padding):
+    """Float64 scratch of one conv geometry for blocks of up to n images:
+    (padded buffer, its interior view, the window view, column buffer).
+    Per channel the buffer holds the Hp x Wp image row-major, plus the k-1
+    tail that the last window's extra columns read; its border and tail are
+    never written, so they stay zero."""
     hp, wp = h + 2 * padding, w + 2 * padding
-    n = min(b, _CONV_BLOCK)
     pad = np.zeros((n, c, hp * wp + kernel - 1))
     e = pad.itemsize
     win = as_strided(pad, (n, c, kernel, kernel, (hp - kernel) // stride + 1, -(-wp // stride)),
                      (*pad.strides[:2], wp * e, e, stride * wp * e, stride * e))
     interior = pad[:, :, :hp * wp].reshape(n, c, hp, wp)[:, :, padding:padding + h, padding:padding + w]
-    buf = np.empty(win.shape)
+    return pad, interior, win, np.empty(win.shape)
+
+
+def _column_blocks(x, kernel, stride, padding):
+    """Yield (slice, float64 columns [n, C*k*k, OH*OWp]) for blocks of
+    _CONV_BLOCK images through the geometry's _lowering buffers."""
+    b = len(x)
+    _, interior, win, buf = _lowering(min(b, _CONV_BLOCK), *x.shape[1:], kernel, stride, padding)
     for start in range(0, b, _CONV_BLOCK):
         n = min(_CONV_BLOCK, b - start)
         interior[:n] = x[start:start + n]
@@ -139,7 +151,7 @@ def conv2d_backward_batch(x, kernels, stride, padding, grad_out, input_grad=True
     if grad_out.shape != (b, c_out, oh, ow):
         raise ShapeError(f"upstream grad shape {grad_out.shape} != {(b, c_out, oh, ow)}")
     gx = None
-    if input_grad:  # first, so its block buffers are freed before the kernel gradient's
+    if input_grad:  # to its end first: both lowerings can share one geometry's buffers
         flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
         g = _dilated(grad_out, h, w, k, stride, padding)
         gx = _conv(g, flipped.astype(np.float64, copy=False), k, 1, max(k - 1 - padding, 0))

@@ -3,6 +3,8 @@ per session where they are expensive."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,16 @@ def tiny_spec():
         num_classes=2,
         layers=(ps.flatten(), ps.fc(2), ps.relu(), ps.fc(2)),
     )
+
+
+def traced_peak(fn):
+    """(fn(), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_tiny_weights(hidden=((1.0, 1.0), (1.0, -1.0)), out=((1.0, 1.0), (0.5, 0.5))):

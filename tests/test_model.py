@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import struct
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pathscope as ps
-from pathscope import ops
+from pathscope import model, ops
 from pathscope.errors import ArgumentError, FormatError, NumericalError, ShapeError, SpecError
 from pathscope.model import (
     _forward_batch,
@@ -23,7 +24,7 @@ from pathscope.model import (
     serialize_model,
 )
 
-from conftest import make_tiny_weights
+from conftest import make_tiny_weights, traced_peak
 
 
 def test_layer_naming_desk():
@@ -74,6 +75,28 @@ def test_spec_errors():
     for bad in (ps.conv(1, 3, 0, 1), ps.conv(1, 3, 1, -1), ps.maxpool(2, 0)):
         with pytest.raises(SpecError):
             ps.layer_names(ps.ModelSpec((1, 4, 4), 2, (bad, ps.flatten(), ps.fc(2))))
+
+
+def test_resolve_is_kept_on_the_spec():
+    spec = desk_spec()
+    assert resolve(spec) is resolve(spec)
+    twin = desk_spec()
+    assert twin is not spec and twin == spec and hash(twin) == hash(spec)
+    assert resolve(twin) == resolve(spec)
+    assert repr(twin) == repr(spec)  # the kept resolution is no field
+    for before in (desk_spec(), spec):  # pickled unresolved, and resolved
+        clone = pickle.loads(pickle.dumps(before))
+        assert clone == spec and hash(clone) == hash(spec)
+        assert resolve(clone) == resolve(spec)
+
+
+def test_bad_spec_raises_on_every_resolve():
+    bad = ps.ModelSpec((1, 4, 4), 2, (ps.fc(2),))
+    for _ in range(3):
+        with pytest.raises(SpecError):
+            resolve(bad)
+    with pytest.raises(SpecError):
+        ps.layer_names(bad)
 
 
 def test_forward_zero_input_is_all_zero(small_conv_model):
@@ -250,11 +273,26 @@ def test_random_model_chance_level():
 def test_eval_via_traces_matches_batched(small_conv_model):
     spec, weights = small_conv_model
     rng = np.random.default_rng(21)
-    images = rng.random((16, 1, 6, 6)).astype(np.float32)
-    batched = predict_batch(weights, spec, images)
-    solo = np.array([int(np.argmax(ps.forward(weights, spec, img).logits))
-                     for img in images])
-    np.testing.assert_array_equal(batched, solo)
+    # 16 images fit one batch; 2*64+3 cross two batch boundaries into a remainder
+    for n in (16, 2 * model._PREDICT_BATCH + 3):
+        images = rng.random((n, 1, 6, 6)).astype(np.float32)
+        batched = predict_batch(weights, spec, images)
+        solo = np.array([int(np.argmax(ps.forward(weights, spec, img).logits))
+                         for img in images])
+        np.testing.assert_array_equal(batched, solo)
+
+
+def test_predict_peak_stays_below_training_step():
+    # Inference holds no more than one training step: the reverse-sweep cache
+    # of a larger batch would be memory that nothing reads.
+    spec = desk_spec()
+    weights = ps.build_model(spec, 0)
+    ds = ps.synthetic_digits(256, seed=3)
+    predict_batch(weights, spec, ds.images[:4])  # both peaks without the kept conv buffers
+    _, train_peak = traced_peak(lambda: ps.train_sgd(
+        weights, spec, ps.subsample(ds, 128), ps.TrainConfig(0.01, 1, 64, 0)))
+    _, predict_peak = traced_peak(lambda: predict_batch(weights, spec, ds.images))
+    assert predict_peak < train_peak
 
 
 def test_dropout_training_only():

@@ -9,7 +9,6 @@ through the whole chain).
 from __future__ import annotations
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,8 @@ from hypothesis import strategies as st
 import pathscope as ps
 from pathscope import model, ops
 from pathscope.errors import ArgumentError, ShapeError
+
+from conftest import traced_peak as _traced_peak
 
 
 def conv2d_naive(x, kernels, stride, padding):
@@ -561,15 +562,6 @@ def test_training_with_im2col_grad_input_is_byte_identical(monkeypatch, profile,
     assert got == want
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_conv_working_set_is_per_block():
     # At batch 256 the lowering's buffers are per block of _CONV_BLOCK
     # images: the peak beyond the returned arrays stays under 4 MB, where
@@ -600,3 +592,52 @@ def test_pool_window_starts_cache_is_not_shared_with_callers():
     np.testing.assert_array_equal(routing, kept)
     routing += 1  # a caller's writes stay in its own routing
     np.testing.assert_array_equal(ops.maxpool_forward_batch(x, 2, 2)[1], kept)
+
+
+def _conv_pass(x, kernels, stride, padding, seed):
+    g = np.random.default_rng(seed).standard_normal(
+        (len(x), len(kernels), *ops.conv_output_hw(*x.shape[2:], kernels.shape[2], stride, padding)))
+    y = ops.conv2d_forward_batch(x, kernels, stride, padding)
+    gx, gw = ops.conv2d_backward_batch(x, kernels, stride, padding, g.astype(x.dtype))
+    return y, gx, gw
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride, padding", [(1, 1), (2, 0)])
+def test_conv_kept_lowering_gives_exact_results(dtype, stride, padding):
+    # The per-geometry buffers carry nothing from one call into the next:
+    # results are bit-identical before and after calls of other batch sizes
+    # and of the same geometry on large-magnitude data.
+    rng = np.random.default_rng(13)
+    kernels = rng.standard_normal((4, 4, 3, 3)).astype(dtype)
+    xs = {b: rng.standard_normal((b, 4, 7, 9)).astype(dtype) for b in (1, 3, 5, 6, 4, 2)}
+    ops._lowering.cache_clear()
+    first = {b: _conv_pass(xs[b], kernels, stride, padding, b) for b in (3, 1)}
+    for b in (5, 6, 1, 4, 2):
+        _conv_pass(xs[b], kernels, stride, padding, b)
+        _conv_pass(xs[b] * dtype(1e30), kernels, stride, padding, b)
+    for b, before in first.items():
+        for a, c in zip(before, _conv_pass(xs[b], kernels, stride, padding, b)):
+            assert a.dtype == c.dtype and a.tobytes() == c.tobytes()
+
+
+def test_conv_results_do_not_share_the_kept_lowering():
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((2, 3, 6, 7)).astype(np.float32)
+    kernels = rng.standard_normal((3, 3, 3, 3)).astype(np.float32)
+    y, gx, gw = _conv_pass(x, kernels, 1, 1, 0)
+    # one geometry serves the forward, the grad-input and the kernel gradient
+    hits = ops._lowering.cache_info().hits
+    pad, _, _, cols = ops._lowering(2, 3, 6, 7, 3, 1, 1)
+    assert ops._lowering.cache_info().hits == hits + 1  # the buffers those calls used
+    for out in (y, gx, gw):
+        assert not np.shares_memory(out, pad) and not np.shares_memory(out, cols)
+    kept = [a.copy() for a in (y, gx, gw)]
+    _conv_pass(rng.standard_normal(x.shape).astype(np.float32) * 1e30, kernels, 1, 1, 1)
+    for a, b in zip((y, gx, gw), kept):
+        np.testing.assert_array_equal(a, b)
+    # the padding border and the tail past the last row are never written
+    border = np.ones((6 + 2, 7 + 2), dtype=bool)
+    border[1:-1, 1:-1] = False
+    assert not pad[:, :, :8 * 9].reshape(2, 3, 8, 9)[:, :, border].any()
+    assert not pad[:, :, 8 * 9:].any()
