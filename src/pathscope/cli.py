@@ -296,20 +296,26 @@ def cmd_replace_sweep(cfg: dict) -> int:
 
 
 def cmd_correlate(cfg: dict) -> int:
-    if not cfg.get("model"):
+    paths = [p.strip() for p in (cfg.get("model") or "").split(",") if p.strip()]
+    if not paths:
         raise ArgumentError("this command needs --model")
-    paths = [p.strip() for p in cfg["model"].split(",") if p.strip()]
+    # every check before any tau, and every file after the last one: a failed
+    # run writes nothing
+    models = [load_model(path) for path in paths]
+    layers = [correlation.correlated_layers(spec) for spec, _ in models]
+    for path, other in zip(paths[1:], layers[1:]):
+        if other != layers[0]:
+            raise ArgumentError(f"{path} correlates different layers than {paths[0]}: "
+                                f"{other} vs {layers[0]}")
     dataset = _sampled_dataset(cfg)
+    per_model = [correlation.layerwise_tau(weights, spec, dataset, _clip(cfg), cfg["workers"])
+                 for spec, weights in models]
+    report = per_model[0] if len(per_model) == 1 else correlation.aggregate_tau(per_model)
     out = _outdir(cfg, "correlate")
-    per_model = []
-    for i, path in enumerate(paths):
-        spec, weights = load_model(path)
-        rep = correlation.layerwise_tau(weights, spec, dataset, _clip(cfg), cfg["workers"])
-        per_model.append(rep)
-        if len(paths) > 1:
+    if len(per_model) > 1:
+        for i, rep in enumerate(per_model):
             reports.write_csv(os.path.join(out, f"tau_model{i}.csv"),
                               correlation.TAU_CSV_HEADER, correlation.tau_csv_rows(rep))
-    report = per_model[0] if len(per_model) == 1 else correlation.aggregate_tau(per_model)
     reports.write_csv(os.path.join(out, "tau.csv"), correlation.TAU_CSV_HEADER,
                       correlation.tau_csv_rows(report))
     reports.write_json(os.path.join(out, "tau.json"), {

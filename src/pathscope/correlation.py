@@ -8,10 +8,15 @@ why the tie-corrected variant is used.
 
 The pair counts are computed as exact integers and combined in a single
 final division, so small hand-checkable inputs give bit-exact ratios like
-4/5 = 0.8. After a lexsort by (x, y), the discordant pairs are the
-inversions of y (Knight, JASA 1966), counted by a loop-free numpy pass per
-bit of y's dense rank: O(n log n log k) for k distinct values, and path
-counts have few. NaN has no rank, so NaN input raises NumericalError.
+4/5 = 0.8. One stable sort of y gives its tied pairs n2 and its dense ranks
+r; a stable sort of x over that order sorts by x with ties by y, and its
+run boundaries give n1 and the jointly tied pairs n3. In that order the
+discordant pairs are the inversions of r (Knight, JASA 1966), counted two
+bits of r per pass: a stable group sort by the bits above the digit and one
+int64 cumsum that packs the three counters "digit >= 1, 2, 3". That is
+O(n log n * ceil(log2(k) / 2)) for k distinct values of y, and path counts
+have few. Ranks are uint16 while k <= 65,536, so the group sorts are radix
+sorts. NaN has no rank, so NaN input raises NumericalError.
 
 One tau per image over all neurons of a layer, then mean +/- std across
 images; multiple models (training seeds) aggregate across reports.
@@ -32,35 +37,80 @@ from .parallel import pmap
 from .pathcount import ClipConfig, pathcount_forward
 
 
-def _tied_pairs(sorted_v: np.ndarray) -> int:
-    """Number of index pairs with equal value; input must be sorted."""
-    boundaries = np.flatnonzero(np.r_[True, sorted_v[1:] != sorted_v[:-1], True])
-    lengths = np.diff(boundaries)
-    return int((lengths * (lengths - 1) // 2).sum())
+def _tied_pairs(change: np.ndarray) -> int:
+    """Pairs of equal values in a sorted vector, from its run boundaries
+    `change = v[1:] != v[:-1]`."""
+    ends = np.flatnonzero(change)
+    lengths = np.diff(ends, prepend=-1, append=change.size)
+    return int((lengths * (lengths - 1)).sum()) // 2
+
+
+def _dense_ranks(v: np.ndarray):
+    """(stable argsort of v, its run boundaries in that order, v's dense ranks,
+    the number of distinct values). Ranks are uint16 while they fit, so a
+    stable argsort of them is numpy's radix sort."""
+    order = np.argsort(v, kind="stable")
+    vs = v[order]
+    change = vs[1:] != vs[:-1]
+    k = int(np.count_nonzero(change)) + (v.size > 0)
+    dtype = np.uint16 if k <= 1 << 16 else np.intp
+    in_order = np.zeros(v.size, dtype)
+    np.cumsum(change, dtype=dtype, out=in_order[1:])
+    ranks = np.empty(v.size, dtype)
+    ranks[order] = in_order
+    return order, change, ranks, k
+
+
+def _digit_tables(w: int):
+    """Tables for w-bit digits, whose 2**w - 1 counters "digit >= m" share
+    one int64 as fields of 63 // (2**w - 1) bits: each digit's packed
+    increment, each digit's shift to the field that counts larger digits,
+    and the field mask."""
+    width = 63 // ((1 << w) - 1)
+    digits = np.arange(1 << w)
+    step = sum((digits >= m).astype(np.int64) << width * (m - 1) for m in range(1, 1 << w))
+    return step, digits * width, (1 << width) - 1
+
+
+# Two-bit digits pack three 21-bit counters, so they need n < 2**21; longer
+# vectors take one bit per pass.
+_PACKED_LIMIT = 1 << 21
+_DIGITS = {w: _digit_tables(w) for w in (1, 2)}
+
+
+def _rank_inversions(ranks: np.ndarray, bits: int) -> int:
+    """Number of pairs i<j with ranks[i] > ranks[j], for ranks below 2**bits.
+
+    An inverted pair's ranks agree above some w-bit digit, where the earlier
+    element's digit is the larger. So for each digit position, from the top,
+    stably grouping by the bits above it and counting, for each element, the
+    earlier elements of its group with a larger digit counts every inversion
+    exactly once. One int64 cumsum holds the 2**w - 1 counters "digit >= m"
+    side by side; the top digit's group is the whole vector.
+    """
+    n = ranks.size
+    w = 2 if n < _PACKED_LIMIT else 1
+    step, shift, mask = _DIGITS[w]
+    top = (bits - 1) // w * w
+    inv = 0
+    for b in range(top, -1, -w):
+        rs = ranks if b == top else ranks[np.argsort(ranks >> (b + w), kind="stable")]
+        d = (rs >> b) & ((1 << w) - 1)
+        counts = np.cumsum(step.take(d))
+        if b != top:
+            group = rs >> (b + w)
+            starts = np.flatnonzero(group[1:] != group[:-1]) + 1
+            if starts.size:
+                # no field borrows: each counter is at least what it carried in
+                counts[starts[0]:] -= np.repeat(counts[starts - 1], np.diff(starts, append=n))
+        inv += int(((counts >> shift.take(d)) & mask).sum())
+    return inv
 
 
 def _inversions(a: np.ndarray) -> int:
-    """Number of pairs i<j with a[i] > a[j].
-
-    On dense ranks r, an inverted pair's ranks agree above their highest
-    differing bit b, where the earlier element has a 1 and the later a 0. So
-    for each bit, grouping by r >> (b + 1) in original order and counting the
-    1s before each 0 within its group counts every inversion exactly once:
-    one numpy pass per bit of the largest rank.
-    """
-    ranks = np.unique(np.asarray(a, dtype=np.float64).reshape(-1), return_inverse=True)[1]
-    n = ranks.size
-    inv = 0
-    for b in reversed(range(int(ranks.max(initial=0)).bit_length())):
-        group = ranks >> (b + 1)
-        order = np.argsort(group, kind="stable")
-        group, bit = group[order], (ranks[order] >> b) & 1
-        ones = np.cumsum(bit)
-        starts = np.r_[True, group[1:] != group[:-1]]
-        first = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
-        # at a 0, `ones` counts only earlier 1s; subtract those before its group
-        inv += int((ones - ones[first] + bit[first])[bit == 0].sum())
-    return inv
+    """Number of pairs i<j with a[i] > a[j]."""
+    _, _, ranks, k = _dense_ranks(np.asarray(a, dtype=np.float64).reshape(-1))
+    return _rank_inversions(ranks, max(k - 1, 0).bit_length())
 
 
 def kendall_tau_b(x, y) -> float:
@@ -75,16 +125,18 @@ def kendall_tau_b(x, y) -> float:
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise UndefinedCorrelationError("tau-b undefined when a vector is all ties")
     n = int(x.size)
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
+    oy, ychange, ranks, k = _dense_ranks(y)
+    # by x, ties by y: a stable sort of the y-sorted order
+    order = oy[np.argsort(x[oy], kind="stable")]
+    xs, r = x[order], ranks[order]
+    xchange = xs[1:] != xs[:-1]
     n0 = n * (n - 1) // 2
-    n1 = _tied_pairs(xs)
-    n2 = _tied_pairs(np.sort(y, kind="stable"))
-    joint = np.flatnonzero(np.r_[True, (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]), True])
-    n3 = int((np.diff(joint) * (np.diff(joint) - 1) // 2).sum())
-    # x-tied pairs are y-sorted by the lexsort, so every inversion of ys is a
+    n1 = _tied_pairs(xchange)
+    n2 = _tied_pairs(ychange)
+    n3 = _tied_pairs(xchange | (r[1:] != r[:-1]))
+    # x-tied pairs are in y order, so every inversion of r is a
     # strictly-discordant pair and vice versa
-    disc = _inversions(ys)
+    disc = _rank_inversions(r, (k - 1).bit_length())
     conc_minus_disc = (n0 - n1 - n2 + n3) - 2 * disc
     denom = math.sqrt((n0 - n1) * (n0 - n2))
     tau = conc_minus_disc / denom

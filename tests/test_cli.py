@@ -25,7 +25,7 @@ from pathscope import (
     write_idx,
 )
 from pathscope.cli import _merge_config, build_parser, main
-from pathscope.model import build_model, desk_spec
+from pathscope.model import build_model, desk_spec, reference_spec
 
 
 def run(*argv):
@@ -431,6 +431,39 @@ def test_correlate_aggregates_model_list(conv_fixture, tmp_path):
     assert (out / "tau_model1.csv").exists()
     blob = json.load(open(out / "tau.json"))
     assert len(blob["metadata"]["models"]) == 2
+
+
+@pytest.mark.parametrize("models, named", [("{model},ghost.npsc", "ghost.npsc"),
+                                           (",", "--model")],
+                         ids=["missing-file", "empty-list"])
+def test_correlate_bad_model_list_exits_2_without_writing(conv_fixture, tmp_path, capsys,
+                                                          models, named):
+    model, images, labels = conv_fixture
+    assert run("correlate", "--model", models.format(model=model),
+               "--data-images", images, "--data-labels", labels,
+               "--out", str(tmp_path / "o")) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_correlate_mismatched_layers_exit_2_before_any_tau(desk_fixture, tmp_path, capsys,
+                                                           monkeypatch):
+    reference = str(tmp_path / "reference.npsc")
+    save_model(build_model(reference_spec(), seed=0), reference_spec(), reference)
+    taus = []
+    real = pathscope.correlation.kendall_tau_b
+    monkeypatch.setattr(pathscope.correlation, "kendall_tau_b",
+                        lambda x, y: taus.append(x.size) or real(x, y))
+    data = ["--synthetic", "--synthetic-n", "2"]
+    assert run("correlate", "--model", f"{desk_fixture},{reference}", *data,
+               "--out", str(tmp_path / "o")) == 2
+    assert "different layers" in capsys.readouterr().err
+    assert taus == []
+    assert not (tmp_path / "o").exists()
+    # the spy does see the taus of a model list that matches
+    assert run("correlate", "--model", f"{desk_fixture},{desk_fixture}", *data,
+               "--out", str(tmp_path / "same")) == 0
+    assert taus
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ and the layerwise representation-vs-counts pipeline.
 
 `tau_b_naive` recomputes tau-b straight from its definition — every pair,
 O(n^2) — and pins the production implementation to it on tie-heavy vectors;
-the discordant-pair count `_inversions` is pinned to an all-pairs count too.
+the discordant-pair count `_inversions` is pinned to an all-pairs count too,
+and at layer sizes to a merge-sort count.
 """
 
 import math
@@ -30,7 +31,14 @@ from pathscope import (
     maxpool,
     relu,
 )
-from pathscope.correlation import TAU_CSV_HEADER, _inversions, correlated_layers, tau_csv_rows
+from pathscope import correlation
+from pathscope.correlation import (
+    TAU_CSV_HEADER,
+    _dense_ranks,
+    _inversions,
+    correlated_layers,
+    tau_csv_rows,
+)
 from pathscope.model import build_model
 from pathscope.pathcount import pathcount_forward
 
@@ -131,6 +139,78 @@ def test_inversions_match_pair_count(values, arrangement):
     i, j = np.triu_indices(a.size, 1)
     assert _inversions(a) == int((a[i] > a[j]).sum())
 
+
+def merge_inversions(a):
+    """Pairs i<j with a[i] > a[j], by bottom-up merge sort: each element
+    taken from a right run passes every element still waiting in the left
+    run, and those are strictly larger. Equal values are taken left first."""
+    runs = [[v] for v in np.asarray(a).tolist()]
+    inv = 0
+    while len(runs) > 1:
+        merged = []
+        for left, right in zip(runs[::2], runs[1::2]):
+            out, i, j = [], 0, 0
+            while i < len(left) and j < len(right):
+                if right[j] < left[i]:
+                    inv += len(left) - i
+                    out.append(right[j])
+                    j += 1
+                else:
+                    out.append(left[i])
+                    i += 1
+            merged.append(out + left[i:] + right[j:])
+        runs = merged + runs[len(merged) * 2:]
+    return inv
+
+
+def test_merge_oracle_matches_pair_count():
+    a = np.random.default_rng(30).integers(0, 4, 301).astype(np.float64)
+    i, j = np.triu_indices(a.size, 1)
+    assert merge_inversions(a) == int((a[i] > a[j]).sum())
+
+
+@pytest.mark.parametrize("k", [2, 200, 6272], ids=["k2", "k200", "k-n"])
+def test_inversions_match_merge_count_at_desk_size(k):
+    rng = np.random.default_rng(31)
+    n = 6272
+    a = rng.permutation(n) if k == n else rng.integers(0, k, n)
+    a = a.astype(np.float64)
+    assert len(np.unique(a)) == k
+    assert _dense_ranks(a)[2].dtype == np.uint16
+    assert _inversions(a) == merge_inversions(a)
+
+
+def test_inversions_match_merge_count_with_wide_ranks():
+    rng = np.random.default_rng(32)
+    a = rng.standard_normal(70_000)
+    a[::50] = a[1::50]  # ties, and still over 65,536 distinct values
+    assert len(np.unique(a)) > 1 << 16
+    assert _dense_ranks(a)[2].dtype != np.uint16
+    assert _inversions(a) == merge_inversions(a)
+
+
+def test_one_bit_digits_count_the_same(monkeypatch):
+    # vectors too long for three packed counters take one bit per pass
+    a = np.random.default_rng(33).integers(0, 300, 6272).astype(np.float64)
+    want = merge_inversions(a)
+    assert _inversions(a) == want
+    monkeypatch.setattr(correlation, "_PACKED_LIMIT", 0)
+    assert _inversions(a) == want
+
+
+def test_permutation_and_swap_are_exact_at_desk_size():
+    # n = 8 channels x 28 x 28; float32 representations with ReLU's zero ties
+    rng = np.random.default_rng(34)
+    n = 6272
+    for _ in range(3):
+        rep = rng.standard_normal(n).astype(np.float32).astype(np.float64)
+        relu_rep = np.maximum(rep, 0.0)
+        counts = np.where(relu_rep > 0, rng.integers(1, 50, n), 0).astype(np.float64)
+        for x, y in [(relu_rep, counts), (rep, counts), (np.round(rep, 1), relu_rep)]:
+            tau = kendall_tau_b(x, y)
+            p = rng.permutation(n)
+            assert kendall_tau_b(x[p], y[p]) == tau
+            assert kendall_tau_b(y, x) == tau
 
 @given(st.lists(st.integers(0, 4), min_size=2, max_size=25),
        st.data())
