@@ -224,11 +224,11 @@ def cmd_train(cfg: dict) -> int:
                  if cfg.get(a) is not None}
     if overrides:
         tconf = dataclasses.replace(tconf, **overrides)
-    out = _outdir(cfg, "train")
     weights = build_model(spec, seed)
     weights, losses = train_sgd(weights, spec, train_ds, tconf)
     train_acc = evaluate_accuracy(weights, spec, train_ds)
     test_acc = evaluate_accuracy(weights, spec, test_ds)
+    out = _outdir(cfg, "train")  # after the work: a failed run writes nothing
     model_path = os.path.join(out, "model.npsc")
     save_model(weights, spec, model_path)
     reports.write_json(os.path.join(out, "train_metrics.json"), {
@@ -243,8 +243,8 @@ def cmd_train(cfg: dict) -> int:
 def cmd_eval(cfg: dict) -> int:
     spec, weights = _load_model(cfg)
     dataset = _resolve_dataset(cfg)
-    out = _outdir(cfg, "eval")
     acc = evaluate_accuracy(weights, spec, dataset)
+    out = _outdir(cfg, "eval")
     reports.write_json(os.path.join(out, "eval_metrics.json"), {
         "accuracy": acc, "samples": len(dataset),
         "model_sha256": model_digest(weights, spec),

@@ -174,10 +174,10 @@ def _digit_mask(digit: int, box_h: int, box_w: int, rng=None,
             factor = rng.uniform(1.0 - thickness_jitter, 1.0 + thickness_jitter)
             if r1f - r0f < 0.5:  # horizontal bar: vary its height
                 mid, half = (r0f + r1f) / 2, (r1f - r0f) / 2 * factor
-                r0f, r1f = np.clip(mid - half, 0, 1), np.clip(mid + half, 0, 1)
+                r0f, r1f = max(mid - half, 0.0), min(mid + half, 1.0)
             else:  # vertical bar: vary its width
                 mid, half = (c0f + c1f) / 2, (c1f - c0f) / 2 * factor
-                c0f, c1f = np.clip(mid - half, 0, 1), np.clip(mid + half, 0, 1)
+                c0f, c1f = max(mid - half, 0.0), min(mid + half, 1.0)
         r0 = int(round(r0f * box_h))
         r1 = max(r0 + 1, int(round(r1f * box_h)))
         c0 = int(round(c0f * box_w))
@@ -189,13 +189,10 @@ def _digit_mask(digit: int, box_h: int, box_w: int, rng=None,
 def _shear_rows(mask: np.ndarray, shear: float) -> np.ndarray:
     """Shift each row horizontally by shear * (row - center), zero-filled."""
     box_h, box_w = mask.shape
-    out = np.zeros_like(mask)
-    for r in range(box_h):
-        off = int(round(shear * (r - box_h / 2)))
-        src = mask[r, max(0, off):box_w + min(0, off)]
-        if src.size:
-            out[r, max(0, -off):max(0, -off) + src.size] = src
-    return out
+    off = np.round(shear * (np.arange(box_h) - box_h / 2)).astype(np.int64)
+    src = np.arange(box_w) + off[:, None]  # out[r, c] = mask[r, c + off[r]]
+    inside = (src >= 0) & (src < box_w)
+    return np.take_along_axis(mask, np.clip(src, 0, box_w - 1), axis=1) * inside
 
 
 def synthetic_digits(
@@ -244,15 +241,15 @@ def synthetic_digits(
         box_h, box_w = _digit_box(s)
         mask = _digit_mask(int(labels[i]), box_h, box_w, rng, _THICKNESS_JITTER)
         mask = _shear_rows(mask, rng.uniform(-_SHEAR_MAX, _SHEAR_MAX))
-        top = int(np.clip((image_hw - box_h) // 2 + rng.integers(-_JITTER, _JITTER + 1),
-                          0, image_hw - box_h))
-        left = int(np.clip((image_hw - box_w) // 2 + rng.integers(-_JITTER, _JITTER + 1),
-                           0, image_hw - box_w))
-        img = np.zeros((image_hw, image_hw), dtype=np.float32)
+        top = (image_hw - box_h) // 2 + int(rng.integers(-_JITTER, _JITTER + 1))
+        top = min(max(top, 0), image_hw - box_h)
+        left = (image_hw - box_w) // 2 + int(rng.integers(-_JITTER, _JITTER + 1))
+        left = min(max(left, 0), image_hw - box_w)
+        img = images[i, 0]
         img[top:top + box_h, left:left + box_w] = mask * rng.uniform(0.75, 1.0)
         if noise > 0:
             img += rng.normal(0.0, noise, img.shape).astype(np.float32)
-        images[i, 0] = np.clip(img, 0.0, 1.0)
+    np.clip(images, 0.0, 1.0, out=images)
     return Dataset(images, labels, 10)
 
 

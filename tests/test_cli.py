@@ -144,6 +144,15 @@ def test_exploding_training_exits_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_training_exits_3_without_writing(tmp_path):
+    # train computes before it writes: a loss that goes to NaN leaves no
+    # train_config.json (or any other file) behind
+    assert run("train", "--synthetic", "blobs", "--synthetic-n", "40", "--epochs", "4",
+               "--lr", "1e12", "--out", str(tmp_path / "o")) == 3
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--lr", "nan"), ("--lr", "inf"),
     ("--small-fraction", "-0.1"), ("--small-fraction", "1.5"), ("--small-fraction", "nan"),
@@ -216,6 +225,14 @@ def test_mismatched_input_shape_exits_2(conv_fixture, tmp_path):
     model, _, _ = conv_fixture  # expects 6x6 input, gets 28x28 digits
     assert run("eval", "--model", model, "--synthetic",
                "--synthetic-n", "4", "--out", str(tmp_path / "o")) == 2
+
+
+def test_failed_eval_exits_2_without_writing(conv_fixture, tmp_path, capsys):
+    model, _, _ = conv_fixture  # its fc expects a 6x6 input's features
+    assert run("eval", "--model", model, "--synthetic", "--synthetic-n", "4",
+               "--out", str(tmp_path / "o")) == 2
+    assert "fc inner dims disagree" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

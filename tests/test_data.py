@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pathscope as ps
+from pathscope import data
 from pathscope.errors import ArgumentError, FormatError
 
 
@@ -171,6 +172,89 @@ def test_digits_classes_distinguishable_by_shape():
     for a in range(10):
         for b in range(a + 1, 10):
             assert not np.array_equal(masks[a], masks[b]), (a, b)
+
+
+def _digit_mask_oracle(digit, box_h, box_w, rng, thickness_jitter):
+    """The generator's segment mask as first written, np.clip on scalars."""
+    mask = np.zeros((box_h, box_w), dtype=np.float32)
+    for seg in data._DIGIT_SEGMENTS[digit]:
+        r0f, r1f, c0f, c1f = data._SEGMENTS[seg]
+        factor = rng.uniform(1.0 - thickness_jitter, 1.0 + thickness_jitter)
+        if r1f - r0f < 0.5:
+            mid, half = (r0f + r1f) / 2, (r1f - r0f) / 2 * factor
+            r0f, r1f = np.clip(mid - half, 0, 1), np.clip(mid + half, 0, 1)
+        else:
+            mid, half = (c0f + c1f) / 2, (c1f - c0f) / 2 * factor
+            c0f, c1f = np.clip(mid - half, 0, 1), np.clip(mid + half, 0, 1)
+        r0 = int(round(r0f * box_h))
+        r1 = max(r0 + 1, int(round(r1f * box_h)))
+        c0 = int(round(c0f * box_w))
+        c1 = max(c0 + 1, int(round(c1f * box_w)))
+        mask[r0:min(r1, box_h), c0:min(c1, box_w)] = 1.0
+    return mask
+
+
+def _shear_rows_oracle(mask, shear):
+    """Row-by-row shear with slices, as first written."""
+    box_h, box_w = mask.shape
+    out = np.zeros_like(mask)
+    for r in range(box_h):
+        off = int(round(shear * (r - box_h / 2)))
+        src = mask[r, max(0, off):box_w + min(0, off)]
+        if src.size:
+            out[r, max(0, -off):max(0, -off) + src.size] = src
+    return out
+
+
+def synthetic_digits_oracle(n, seed, image_hw=28, scale_range=data.DEFAULT_SCALE_RANGE,
+                            noise=0.0, small_fraction=0.0, small_range=data.DEFAULT_SMALL_RANGE):
+    """The digit generator as first written: one image at a time, each
+    built in its own array and clipped on its own."""
+    rng = np.random.default_rng(seed)
+    labels = (np.arange(n) % 10).astype(np.int64)
+    rng.shuffle(labels)
+    images = np.zeros((n, 1, image_hw, image_hw), dtype=np.float32)
+    for i in range(n):
+        if small_fraction > 0.0 and rng.uniform() < small_fraction:
+            s = rng.uniform(small_range[0], small_range[1])
+        else:
+            s = rng.uniform(scale_range[0], scale_range[1])
+        box_h, box_w = data._digit_box(s)
+        mask = _digit_mask_oracle(int(labels[i]), box_h, box_w, rng, data._THICKNESS_JITTER)
+        mask = _shear_rows_oracle(mask, rng.uniform(-data._SHEAR_MAX, data._SHEAR_MAX))
+        top = int(np.clip((image_hw - box_h) // 2 + rng.integers(-data._JITTER, data._JITTER + 1),
+                          0, image_hw - box_h))
+        left = int(np.clip((image_hw - box_w) // 2 + rng.integers(-data._JITTER, data._JITTER + 1),
+                           0, image_hw - box_w))
+        img = np.zeros((image_hw, image_hw), dtype=np.float32)
+        img[top:top + box_h, left:left + box_w] = mask * rng.uniform(0.75, 1.0)
+        if noise > 0:
+            img += rng.normal(0.0, noise, img.shape).astype(np.float32)
+        images[i, 0] = np.clip(img, 0.0, 1.0)
+    return images, labels
+
+
+@pytest.mark.parametrize("n, seed, kwargs", [
+    (60, 0, {}),
+    (61, 1, {"small_fraction": 0.15}),
+    (40, 2, {"small_fraction": 1.0}),
+    (40, 3, {"small_fraction": 0.15, "small_range": (0.3, 0.4)}),
+    (50, 4, {"noise": 0.05}),
+    (40, 5, {"scale_range": (1.0, 1.0), "noise": 0.3}),
+    (50, 6, {"image_hw": 12, "scale_range": (0.3, 0.6)}),
+    (50, 7, {"image_hw": 20, "scale_range": (0.5, 1.0), "small_fraction": 0.15}),
+    (30, 8, {"image_hw": 40, "scale_range": (1.2, 1.9), "small_fraction": 0.5, "noise": 0.1}),
+    (30, 9, {"image_hw": 28, "scale_range": (1.4, 1.4)}),
+])
+def test_digits_equal_the_first_generator_byte_for_byte(n, seed, kwargs):
+    # The generator draws from the rng in the oracle's order and computes
+    # every pixel from the same float32 operations: shifting rows by one
+    # gather, clipping with min/max and clipping all images at once at the
+    # end must leave image and label bytes unchanged.
+    ds = ps.synthetic_digits(n, seed, **kwargs)
+    images, labels = synthetic_digits_oracle(n, seed, **kwargs)
+    assert ds.images.dtype == images.dtype and ds.images.tobytes() == images.tobytes()
+    assert ds.labels.dtype == labels.dtype and ds.labels.tobytes() == labels.tobytes()
 
 
 def test_digits_nearest_centroid_beats_chance():

@@ -351,11 +351,11 @@ def test_batched_pool_equals_per_sample(seed):
         np.testing.assert_array_equal(rb[i], r)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 3 * ops._CONV_BLOCK + 1))
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3 * 4 + 1))
 @settings(max_examples=25, deadline=None)
 def test_conv_rows_independent_of_batch(seed, batch):
-    # Batches cross _CONV_BLOCK boundaries: every image's output and input
-    # gradient must equal its batch-of-one result bit for bit.
+    # Batches of up to 13 images: every image's output and input gradient
+    # must equal its batch-of-one result bit for bit.
     rng = np.random.default_rng(seed)
     c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     k = int(rng.choice([1, 2, 3]))
@@ -478,11 +478,11 @@ def test_conv_equals_im2col_at_stock_shapes(c_in, c_out, seed):
             np.testing.assert_array_equal(gx, conv2d_im2col_grad_input(x, kernels, 1, 1, g_out))
 
 
-@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 2 * ops._CONV_BLOCK + 1),
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 2 * 4 + 1),
        stride=st.integers(1, 3), padding=st.integers(0, 2), k=st.integers(1, 4),
        h=st.integers(1, 8), w=st.integers(1, 8))
-@example(seed=0, batch=ops._CONV_BLOCK + 1, stride=3, padding=1, k=2, h=5, w=6)  # Wp % stride == 2
-@example(seed=1, batch=ops._CONV_BLOCK + 2, stride=2, padding=2, k=4, h=3, w=7)  # Wp % stride == 1
+@example(seed=0, batch=4 + 1, stride=3, padding=1, k=2, h=5, w=6)  # Wp % stride == 2
+@example(seed=1, batch=4 + 2, stride=2, padding=2, k=4, h=3, w=7)  # Wp % stride == 1
 @settings(max_examples=40, deadline=None)
 def test_conv_padded_width_geometry_matches_naive(seed, batch, stride, padding, k, h, w):
     # Strides, paddings and kernels past the stock 1/1/3 and non-square
@@ -513,9 +513,9 @@ def test_conv_padded_width_geometry_matches_naive(seed, batch, stride, padding, 
 ])
 def test_conv_grad_input_geometry_cases(k, stride, padding, h, w):
     # The grad-input correlation's dilation, extension and crop, each in a
-    # fixed case on non-square inputs across a _CONV_BLOCK boundary.
+    # fixed case on non-square inputs in a batch of five.
     rng = np.random.default_rng(k * 100 + stride * 10 + padding)
-    x = rng.standard_normal((ops._CONV_BLOCK + 1, 2, h, w))
+    x = rng.standard_normal((4 + 1, 2, h, w))
     kernels = rng.standard_normal((3, 2, k, k))
     oh, ow = ops.conv_output_hw(h, w, k, stride, padding)
     assert stride == 1 or ((h + 2 * padding - k) % stride and (w + 2 * padding - k) % stride)
@@ -563,9 +563,9 @@ def test_training_with_im2col_grad_input_is_byte_identical(monkeypatch, profile,
 
 
 def test_conv_working_set_is_per_block():
-    # At batch 256 the lowering's buffers are per block of _CONV_BLOCK
-    # images: the peak beyond the returned arrays stays under 4 MB, where
-    # whole-batch float64 columns, outputs or padded copies take tens of MB.
+    # At batch 256 the lowering's buffers are per image: the peak beyond the
+    # returned arrays stays under 4 MB, where whole-batch float64 columns,
+    # outputs or padded copies take tens of MB.
     rng = np.random.default_rng(0)
     x = rng.standard_normal((256, 8, 28, 28)).astype(np.float32)
     kernels = (rng.standard_normal((8, 8, 3, 3)) * 0.1).astype(np.float32)
@@ -575,6 +575,19 @@ def test_conv_working_set_is_per_block():
     assert peak < y.nbytes + slack
     (gx, gw), peak = _traced_peak(lambda: ops.conv2d_backward_batch(x, kernels, 1, 1, g_out))
     assert peak < gx.nbytes + gw.nbytes + slack
+
+
+def test_conv_kept_buffers_hold_one_image():
+    # A fresh geometry's kept lowering is one image's padded copy and
+    # columns (484 KB of float64 columns for 8 channels at 28x28), plus one
+    # image's matmul result per call: under 1 MiB beyond the returned array,
+    # where buffers for a block of four images take more than 2 MiB.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((256, 8, 28, 28)).astype(np.float32)
+    kernels = (rng.standard_normal((8, 8, 3, 3)) * 0.1).astype(np.float32)
+    ops._lowering.cache_clear()
+    y, peak = _traced_peak(lambda: ops.conv2d_forward_batch(x, kernels, 1, 1))
+    assert peak < y.nbytes + 2**20
 
 
 def test_pool_window_starts_cache_is_not_shared_with_callers():
@@ -628,7 +641,7 @@ def test_conv_results_do_not_share_the_kept_lowering():
     y, gx, gw = _conv_pass(x, kernels, 1, 1, 0)
     # one geometry serves the forward, the grad-input and the kernel gradient
     hits = ops._lowering.cache_info().hits
-    pad, _, _, cols = ops._lowering(2, 3, 6, 7, 3, 1, 1)
+    pad, _, _, cols = ops._lowering(3, 6, 7, 3, 1, 1)
     assert ops._lowering.cache_info().hits == hits + 1  # the buffers those calls used
     for out in (y, gx, gw):
         assert not np.shares_memory(out, pad) and not np.shares_memory(out, cols)
@@ -639,5 +652,5 @@ def test_conv_results_do_not_share_the_kept_lowering():
     # the padding border and the tail past the last row are never written
     border = np.ones((6 + 2, 7 + 2), dtype=bool)
     border[1:-1, 1:-1] = False
-    assert not pad[:, :, :8 * 9].reshape(2, 3, 8, 9)[:, :, border].any()
-    assert not pad[:, :, 8 * 9:].any()
+    assert not pad[:, :8 * 9].reshape(3, 8, 9)[:, border].any()
+    assert not pad[:, 8 * 9:].any()
