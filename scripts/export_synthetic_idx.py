@@ -22,25 +22,19 @@ def main() -> int:
     ap.add_argument("--kind", choices=("digits", "blobs"), default="digits")
     ap.add_argument("--n", type=int, default=8000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--scale-min", type=float, default=None,
+    ap.add_argument("--scale-min", type=float, default=DEFAULT_SCALE_RANGE[0],
                     help="digit generator: minimum size factor")
-    ap.add_argument("--scale-max", type=float, default=None,
+    ap.add_argument("--scale-max", type=float, default=DEFAULT_SCALE_RANGE[1],
                     help="digit generator: maximum size factor")
-    ap.add_argument("--small-fraction", type=float, default=None,
+    ap.add_argument("--small-fraction", type=float, default=0.0,
                     help="digit generator: fraction drawn at the low-scale range")
     ap.add_argument("--outdir", default="data")
     args = ap.parse_args()
 
     try:
         if args.kind == "digits":
-            kwargs = {}
-            if args.scale_min is not None or args.scale_max is not None:
-                lo, hi = DEFAULT_SCALE_RANGE
-                kwargs["scale_range"] = (lo if args.scale_min is None else args.scale_min,
-                                         hi if args.scale_max is None else args.scale_max)
-            if args.small_fraction is not None:
-                kwargs["small_fraction"] = args.small_fraction
-            ds = synthetic_digits(args.n, seed=args.seed, **kwargs)
+            ds = synthetic_digits(args.n, seed=args.seed, scale_range=(args.scale_min, args.scale_max),
+                                  small_fraction=args.small_fraction)
         else:
             ds = synthetic_blobs(args.n, seed=args.seed)
 

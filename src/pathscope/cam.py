@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset, mean_pixel
 from .errors import ArgumentError
-from .model import ForwardTrace, ModelSpec, forward, gradient_wrt_layer, resolve
+from .model import ForwardTrace, ModelSpec, check_dataset, forward, gradient_wrt_layer, resolve
 from .parallel import pmap
 from .pathcount import ClipConfig, pathcount_forward
 
@@ -148,8 +148,7 @@ def degradation_score(
     the dataset's mean pixel value."""
     if steps < 2:
         raise ArgumentError(f"need at least 2 perturbation steps, got {steps}")
-    if len(dataset) == 0:
-        raise ArgumentError("cannot degrade an empty dataset")
+    check_dataset(dataset, spec, "degrade")
     fractions = np.linspace(0.0, 1.0, steps + 1)
     worker = functools.partial(_degrade_one, weights=weights, spec=spec, variant=variant,
                                fractions=fractions, clip=clip, fill=mean_pixel(dataset),

@@ -145,6 +145,8 @@ def _merge_config(command: str, flags: dict) -> dict:
 
 def _resolve_dataset(cfg: dict):
     if cfg.get("data_images") or cfg.get("data_labels"):
+        if cfg.get("synthetic"):
+            raise ArgumentError("pass --synthetic or --data-images/--data-labels, not both")
         if not (cfg.get("data_images") and cfg.get("data_labels")):
             raise ArgumentError("pass both --data-images and --data-labels")
         return load_idx(cfg["data_images"], cfg["data_labels"])
@@ -194,22 +196,17 @@ def _index_sample(dataset, index: int):
 
 def cmd_train(cfg: dict) -> int:
     seed = cfg["seed"]
-    if cfg.get("synthetic") or not cfg.get("data_images"):
-        train_ds = _resolve_dataset(cfg)
-        test_n = max(1000, cfg["synthetic_n"] // 5)
-        if cfg.get("synthetic") == "blobs":
-            test_ds = synthetic_blobs(test_n, seed=seed + 1)
-        else:
-            # held-out set stays on the clean size distribution: the low-scale
-            # tail is training augmentation, not part of the task
-            test_ds = synthetic_digits(test_n, seed + 1,
-                                       scale_range=(cfg["scale_min"], cfg["scale_max"]),
-                                       small_fraction=0.0)
-    else:
+    if cfg.get("data_images") or cfg.get("data_labels"):
         full = _resolve_dataset(cfg)
         perm = np.random.default_rng(seed).permutation(len(full))
         cut = max(1, int(len(full) * 0.9))
         train_ds, test_ds = full.take(perm[:cut]), full.take(perm[cut:])
+    else:
+        train_ds = _resolve_dataset(cfg)
+        # held-out set stays on the clean size distribution: the low-scale
+        # tail is training augmentation, not part of the task
+        test_ds = _resolve_dataset({**cfg, "synthetic_n": max(1000, cfg["synthetic_n"] // 5),
+                                    "seed": seed + 1, "small_fraction": 0.0})
     c, h, w = train_ds.images.shape[1:]
     if h != w:
         raise ArgumentError(f"stock profiles expect square images, got {h}x{w}")

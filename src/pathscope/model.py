@@ -272,6 +272,8 @@ def _forward_batch(weights, layers, xb, train=False, drop_rng=None):
     """Run batch `xb` through `layers`, any slice of resolve(spec); returns
     (output, cache), one (layer, its input, its _layer_forward aux) entry per
     layer, which _backward_batch reverses."""
+    if layers and xb.shape[1:] != layers[0].in_shape:
+        raise ShapeError(f"input shape {xb.shape[1:]} != {layers[0].name} input {layers[0].in_shape}")
     cache = []
     cur = xb
     for r in layers:
@@ -300,8 +302,6 @@ def forward(weights: dict[str, np.ndarray], spec: ModelSpec, x: np.ndarray) -> F
     resolved = resolve(spec)
     _check_weights(weights, spec)
     x = np.asarray(x)
-    if tuple(x.shape) != spec.input_shape:
-        raise ShapeError(f"input shape {x.shape} does not match spec {spec.input_shape}")
     out, cache = _forward_batch(weights, resolved, x[None])
     names = [r.name for r in resolved]
     outputs = [x_in[0] for _, x_in, _ in cache[1:]] + [out[0]]
@@ -316,6 +316,7 @@ def forward_from_layer(
     resolved = resolve(spec)
     i = layer_index(layer_names(spec), layer)
     cur = np.asarray(activation)
+    # checked here too: resuming after the last layer runs an empty slice
     if tuple(cur.shape) != resolved[i].out_shape:
         raise ShapeError(f"activation shape {cur.shape} != {layer} output {resolved[i].out_shape}")
     out, _ = _forward_batch(weights, resolved[i + 1:], cur[None])
@@ -345,6 +346,15 @@ def gradient_wrt_layer(
 
 # --- training and batched prediction ---
 
+def check_dataset(dataset, spec: ModelSpec, task: str) -> None:
+    """ArgumentError if `dataset` is empty or has a label the model has no class for."""
+    labels = dataset.labels
+    if len(labels) == 0:
+        raise ArgumentError(f"cannot {task} an empty dataset")
+    if labels.max() >= spec.num_classes:
+        raise ArgumentError(f"label {labels.max()} out of range for {spec.num_classes} classes")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.05
@@ -367,10 +377,7 @@ def train_sgd(weights, spec, dataset, config: TrainConfig):
     _check_weights(weights, spec)
     images, labels = dataset.images, dataset.labels
     n = len(labels)
-    if n == 0:
-        raise ArgumentError("empty dataset")
-    if labels.max() >= spec.num_classes:
-        raise ArgumentError(f"label {labels.max()} out of range for {spec.num_classes} classes")
+    check_dataset(dataset, spec, "train on")
     w = {k: v.copy() for k, v in weights.items()}
     shuffle_rng = np.random.default_rng(config.seed)
     drop_rng = np.random.default_rng(config.seed + 1)
@@ -411,9 +418,8 @@ def predict_batch(weights, spec, images) -> np.ndarray:
 
 
 def evaluate_accuracy(weights, spec, dataset) -> float:
-    if len(dataset.labels) == 0:
-        raise ArgumentError("cannot evaluate on an empty dataset")
-    preds = predict_batch(weights, spec, dataset.images)
+    preds = predict_batch(weights, spec, dataset.images)  # a shape error outranks a label error
+    check_dataset(dataset, spec, "evaluate on")
     return float(np.mean(preds == dataset.labels))
 
 

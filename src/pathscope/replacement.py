@@ -18,6 +18,7 @@ from .errors import ArgumentError
 from .model import (
     ForwardTrace,
     ModelSpec,
+    check_dataset,
     forward,
     forward_from_layer,
     layer_index,
@@ -73,9 +74,13 @@ def _layer_kind(spec: ModelSpec, layer: str) -> str:
     return resolve(spec)[layer_index(layer_names(spec), layer)].spec.kind
 
 
-def _check_site(spec: ModelSpec, layer: str, kind: str) -> None:
+def _check_kind(kind: str) -> None:
     if kind not in REPLACEMENT_KINDS:
         raise ArgumentError(f"unknown replacement kind {kind!r}; choose from {REPLACEMENT_KINDS}")
+
+
+def _check_site(spec: ModelSpec, layer: str, kind: str) -> None:
+    _check_kind(kind)
     lk = _layer_kind(spec, layer)
     if kind == "identity":
         return
@@ -157,18 +162,16 @@ def sweep(
     workers: int = 1,
 ) -> SweepReport:
     """Replacement accuracy for every ReLU layer and every requested kind."""
-    if len(dataset) == 0:
-        raise ArgumentError("cannot sweep an empty dataset")
+    check_dataset(dataset, spec, "sweep")
     kinds = tuple(kinds)
     if not kinds:
         raise ArgumentError("no replacement kinds given")
     repeated = sorted({k for k in kinds if kinds.count(k) > 1})
     if repeated:
         raise ArgumentError(f"replacement kind given more than once: {', '.join(repeated)}")
+    for kind in kinds:  # every sweep layer is a ReLU, which takes every kind
+        _check_kind(kind)
     layers = replaceable_layers(spec)
-    for kind in kinds:
-        for layer in layers:
-            _check_site(spec, layer, kind)
     worker = functools.partial(
         _sweep_one, weights=weights, spec=spec, layers=layers, kinds=kinds, clip=clip
     )

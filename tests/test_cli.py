@@ -71,6 +71,21 @@ def conv_fixture(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def digits_idx(tmp_path_factory):
+    """Three IDX pairs of the same 40 digits: as generated, reshaped to 14x56
+    (the pixel count of 28x28), and relabelled 5-14."""
+    d = tmp_path_factory.mktemp("digits")
+    ds = pathscope.synthetic_digits(40, seed=0)
+    variants = {"digits": ds, "wide": Dataset(ds.images.reshape(40, 1, 14, 56), ds.labels, 10),
+                "relabelled": Dataset(ds.images, ds.labels + 5, 15)}
+    pairs = {}
+    for name, variant in variants.items():
+        pairs[name] = (str(d / f"{name}-img.idx"), str(d / f"{name}-lbl.idx"))
+        write_idx(variant, *pairs[name])
+    return pairs
+
+
+@pytest.fixture(scope="module")
 def desk_fixture(tmp_path_factory):
     """An untrained desk-profile model for 28x28 synthetic datasets."""
     d = tmp_path_factory.mktemp("desknet")
@@ -97,6 +112,18 @@ def test_train_is_deterministic(tmp_path):
     assert ma == mb
     assert set(ma) == {"train_acc", "test_acc", "epochs", "seed", "final_loss",
                        "loss_history", "model_sha256"}
+
+
+def test_train_on_idx_pair_is_deterministic(digits_idx, tmp_path):
+    images, labels = digits_idx["digits"]
+    for out in ("a", "b"):
+        assert run("train", "--data-images", images, "--data-labels", labels,
+                   "--epochs", "1", "--out", str(tmp_path / out)) == 0
+    model = lambda out: (tmp_path / out / "model.npsc").read_bytes()
+    assert model("a") == model("b")
+    # the held-out set is the last 10% of the shuffled pair: 4 of 40 images
+    test_acc = json.load(open(tmp_path / "a" / "train_metrics.json"))["test_acc"]
+    assert test_acc * 4 == round(test_acc * 4)
 
 
 def test_train_records_loss_history(tmp_path):
@@ -181,6 +208,39 @@ def test_half_an_idx_pair_exits_2(conv_fixture, tmp_path):
                "--out", str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_both_dataset_sources_exit_2_without_writing(digits_idx, desk_fixture, tmp_path, capsys,
+                                                      command):
+    images, labels = digits_idx["digits"]
+    model = ["--model", desk_fixture] if command == "eval" else ["--epochs", "1"]
+    assert run(command, *model, "--synthetic", "--data-images", images,
+               "--data-labels", labels, "--out", str(tmp_path / "o")) == 2
+    assert "not both" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_images_of_another_shape_exit_2_without_writing(digits_idx, desk_fixture, tmp_path,
+                                                        capsys):
+    # 14x56 images hold as many pixels as the desk model's 28x28 input
+    images, labels = digits_idx["wide"]
+    assert run("eval", "--model", desk_fixture, "--data-images", images,
+               "--data-labels", labels, "--out", str(tmp_path / "o")) == 2
+    assert "(1, 14, 56) != conv1.conv input (1, 28, 28)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("eval", []), ("replace-sweep", ["--kinds", "identity"]), ("degrade", ["--steps", "2"]),
+])
+def test_labels_outside_model_classes_exit_2_without_writing(digits_idx, desk_fixture, tmp_path,
+                                                             capsys, command, args):
+    images, labels = digits_idx["relabelled"]  # labels 5-14 against 10 classes
+    assert run(command, "--model", desk_fixture, "--data-images", images,
+               "--data-labels", labels, *args, "--out", str(tmp_path / "o")) == 2
+    assert "label 14 out of range for 10 classes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_model_flag_exits_2(tmp_path, capsys):
     assert run("eval", "--synthetic", "--out", str(tmp_path / "o")) == 2
     assert "--model" in capsys.readouterr().err
@@ -231,7 +291,7 @@ def test_failed_eval_exits_2_without_writing(conv_fixture, tmp_path, capsys):
     model, _, _ = conv_fixture  # its fc expects a 6x6 input's features
     assert run("eval", "--model", model, "--synthetic", "--synthetic-n", "4",
                "--out", str(tmp_path / "o")) == 2
-    assert "fc inner dims disagree" in capsys.readouterr().err
+    assert "(1, 28, 28) != conv1.conv input (1, 6, 6)" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -282,6 +282,42 @@ def test_eval_via_traces_matches_batched(small_conv_model):
         np.testing.assert_array_equal(batched, solo)
 
 
+def test_desk_batch_logits_equal_single_image_logits_bitwise():
+    # batch 64, the predict and training batch, against 64 batch-1 passes
+    spec = desk_spec()
+    weights = ps.build_model(spec, 0)
+    images = ps.synthetic_digits(64, seed=5).images
+    batched, _ = _forward_batch(weights, resolve(spec), images)
+    solo = np.concatenate([_forward_batch(weights, resolve(spec), images[i:i + 1])[0]
+                           for i in range(64)])
+    assert batched.tobytes() == solo.tobytes()
+
+
+def test_input_shape_is_checked_on_every_batched_path():
+    # 14x56 has the pixels of 28x28, and the desk layers would run on it
+    # without complaint; the first layer's input shape alone tells them apart
+    spec = desk_spec()
+    weights = ps.build_model(spec, 0)
+    digits = ps.synthetic_digits(8, seed=0)
+    wide = ps.Dataset(digits.images.reshape(8, 1, 14, 56), digits.labels, 10)
+    with pytest.raises(ShapeError, match=r"\(1, 14, 56\) != conv1.conv input \(1, 28, 28\)"):
+        predict_batch(weights, spec, wide.images)
+    with pytest.raises(ShapeError):
+        ps.evaluate_accuracy(weights, spec, wide)
+    with pytest.raises(ShapeError):
+        ps.train_sgd(weights, spec, wide, ps.TrainConfig(0.05, 1, 4, 0))
+
+
+def test_labels_outside_the_model_classes_are_rejected(small_conv_model):
+    spec, weights = small_conv_model  # 3 classes
+    ds = ps.Dataset(np.zeros((4, 1, 6, 6), dtype=np.float32),
+                    np.array([0, 1, 2, 3], dtype=np.int64), 4)
+    with pytest.raises(ArgumentError, match="label 3 out of range for 3 classes"):
+        ps.evaluate_accuracy(weights, spec, ds)
+    with pytest.raises(ArgumentError, match="label 3 out of range for 3 classes"):
+        ps.train_sgd(weights, spec, ds, ps.TrainConfig(0.05, 1, 4, 0))
+
+
 def test_predict_peak_stays_below_training_step():
     # Inference holds no more than one training step: the reverse-sweep cache
     # of a larger batch would be memory that nothing reads.

@@ -251,6 +251,15 @@ def test_sweep_rejects_bad_kind(small_net, small_batch):
         sweep(weights, spec, small_batch, kinds=())
 
 
+def test_sweep_rejects_bad_kind_without_relu_layers():
+    # no layer to replace, so no (layer, kind) pair to check: the kind is
+    # checked on its own
+    spec = ModelSpec((1, 2, 2), 2, (flatten(), fc(2)))
+    ds = Dataset(np.zeros((2, 1, 2, 2), dtype=np.float32), np.array([0, 1]), 2)
+    with pytest.raises(ArgumentError, match="unknown replacement kind 'bogus'"):
+        sweep(build_model(spec, 0), spec, ds, kinds=("bogus",))
+
+
 def test_sweep_is_worker_count_invariant(small_net, small_batch):
     spec, weights = small_net
     solo = sweep(weights, spec, small_batch, kinds=("identity", "scaled_onoff"))
