@@ -15,10 +15,42 @@ import json
 import sys
 from pathlib import Path
 
-from pathscope.cli import main as cli
+# What main prints after each analysis command: one report file and the keys
+# to show from it (None: the whole file).
+SHOW = {
+    "eval": ("eval_metrics.json", ("accuracy", "samples")),
+    "replace-sweep": ("sweep.csv", None),
+    "degrade": ("degradation.json", ("variant", "area")),
+    "tilematch": ("tilematch.json", ("variant", "accuracy", "shuffled_control_accuracy")),
+}
+
+
+def analyses(quick: bool) -> dict[str, list[str]]:
+    """The battery's analysis commands, by report directory, without --model
+    and --out. scripts/identity.py reruns them, so they are stated only here."""
+    pool = ["--synthetic", "--synthetic-n", "200" if quick else "2000", "--seed", "1"]
+    steps = {
+        "eval": ["eval", *pool],
+        "sweep": ["replace-sweep", *pool, "--sample", "100" if quick else "500"],
+        "tau": ["correlate", *pool, "--sample", "20" if quick else "50"],
+    }
+    for variant in ("act", "onoff", "pathcount"):
+        steps[f"cam_{variant}"] = ["cam", "--synthetic", "--synthetic-n", "16", "--sample",
+                                   "0", "--variant", variant, "--seed", "1"]
+    for variant in ("act", "onoff", "pathcount", "random", "uniform"):
+        steps[f"degrade_{variant}"] = ["degrade", *pool, "--sample", "40" if quick else "200",
+                                       "--variant", variant]
+    for variant in ("act", "onoff", "pathcount"):
+        steps[f"tilematch_{variant}"] = ["tilematch", *pool, "--tiles",
+                                         "50" if quick else "500", "--variant", variant]
+    return steps
 
 
 def step(outdir: Path, name: str, args: list[str]) -> Path:
+    # Imported here so that scripts/identity.py can read analyses() without
+    # pathscope on its path.
+    from pathscope.cli import main as cli
+
     sub = outdir / name
     print(f"== {name}: pathscope {' '.join(args)}", flush=True)
     code = cli(args + ["--out", str(sub)])
@@ -28,7 +60,10 @@ def step(outdir: Path, name: str, args: list[str]) -> Path:
     return sub
 
 
-def show(path: Path, keys: tuple[str, ...]) -> None:
+def show(path: Path, keys: tuple[str, ...] | None) -> None:
+    if keys is None:
+        print(path.read_text().rstrip(), flush=True)
+        return
     report = json.loads(path.read_text())
     print("   " + ", ".join(f"{k}={report[k]}" for k in keys if k in report), flush=True)
 
@@ -42,48 +77,19 @@ def main() -> int:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    seed = str(args.seed)
-    n_train = "800" if args.quick else "8000"
-    n_eval = "200" if args.quick else "2000"
-    n_sweep = "100" if args.quick else "500"
-    n_degrade = "40" if args.quick else "200"
-    n_tiles = "50" if args.quick else "500"
     epochs = ["--epochs", "2"] if args.quick else []
 
     train = step(outdir, "train", ["train", "--synthetic", "digits", "--synthetic-n",
-                                   n_train, "--profile", "desk", "--seed", seed] + epochs)
+                                   "800" if args.quick else "8000", "--profile", "desk",
+                                   "--seed", str(args.seed)] + epochs)
     model = str(train / "model.npsc")
     show(train / "train_metrics.json", ("train_acc", "test_acc", "epochs"))
 
-    ev = step(outdir, "eval", ["eval", "--model", model, "--synthetic", "digits",
-                               "--synthetic-n", n_eval, "--seed", "1"])
-    show(ev / "eval_metrics.json", ("accuracy", "samples"))
-
-    sw = step(outdir, "sweep", ["replace-sweep", "--model", model, "--synthetic",
-                                "--synthetic-n", n_eval, "--sample", n_sweep,
-                                "--seed", "1"])
-    print((sw / "sweep.csv").read_text().rstrip(), flush=True)
-
-    step(outdir, "tau", ["correlate", "--model", model, "--synthetic",
-                         "--synthetic-n", n_eval, "--sample",
-                         "20" if args.quick else "50", "--seed", "1"])
-
-    for variant in ("act", "onoff", "pathcount"):
-        step(outdir, f"cam_{variant}", ["cam", "--model", model, "--synthetic",
-                                        "--synthetic-n", "16", "--sample", "0",
-                                        "--variant", variant, "--seed", "1"])
-
-    for variant in ("act", "onoff", "pathcount", "random", "uniform"):
-        d = step(outdir, f"degrade_{variant}",
-                 ["degrade", "--model", model, "--synthetic", "--synthetic-n", n_eval,
-                  "--sample", n_degrade, "--variant", variant, "--seed", "1"])
-        show(d / "degradation.json", ("variant", "area"))
-
-    for variant in ("act", "onoff", "pathcount"):
-        t = step(outdir, f"tilematch_{variant}",
-                 ["tilematch", "--model", model, "--synthetic", "--synthetic-n", n_eval,
-                  "--tiles", n_tiles, "--variant", variant, "--seed", "1"])
-        show(t / "tilematch.json", ("variant", "accuracy", "shuffled_control_accuracy"))
+    for name, argv in analyses(args.quick).items():
+        sub = step(outdir, name, [*argv, "--model", model])
+        if argv[0] in SHOW:
+            report, keys = SHOW[argv[0]]
+            show(sub / report, keys)
 
     print(f"all reports under {outdir}/", flush=True)
     return 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,11 +28,18 @@ from .model import (
     resolve,
 )
 from .parallel import pmap
-from .pathcount import ClipConfig, PathCountMap, extract_onoff, pathcount_forward
+from .pathcount import ClipConfig, PathCountMap, pathcount_forward
 
-REPLACEMENT_KINDS = ("identity", "scaled_onoff", "scaled_pathcount", "signed_scaled_pathcount")
 
-_NEEDS_COUNTS = ("scaled_pathcount", "signed_scaled_pathcount")
+def _rescale(activation: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """`m` rescaled so its sum equals the activation's sum; zeros if `m` sums to 0."""
+    if activation.shape != m.shape:
+        raise ArgumentError(f"shape mismatch: {activation.shape} vs {m.shape}")
+    mu_m = float(m.sum(dtype=np.float64))
+    if mu_m == 0.0:
+        return np.zeros_like(activation, dtype=np.float64)
+    mu_a = float(activation.sum(dtype=np.float64))
+    return m.astype(np.float64) * (mu_a / mu_m)
 
 
 def scaled_onoff(activation: np.ndarray, pattern: np.ndarray) -> np.ndarray:
@@ -40,24 +48,12 @@ def scaled_onoff(activation: np.ndarray, pattern: np.ndarray) -> np.ndarray:
     With mu_a the activation total and mu_o the number of on neurons, the
     output is pattern * mu_a/mu_o; an all-off layer maps to all zeros.
     """
-    if activation.shape != pattern.shape:
-        raise ArgumentError(f"shape mismatch: {activation.shape} vs {pattern.shape}")
-    mu_o = float(pattern.sum())
-    if mu_o == 0.0:
-        return np.zeros_like(activation, dtype=np.float64)
-    mu_a = float(activation.sum(dtype=np.float64))
-    return pattern.astype(np.float64) * (mu_a / mu_o)
+    return _rescale(activation, pattern)
 
 
 def scaled_pathcount(activation: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Path counts rescaled so their sum equals the activation's sum."""
-    if activation.shape != counts.shape:
-        raise ArgumentError(f"shape mismatch: {activation.shape} vs {counts.shape}")
-    mu_pc = float(counts.sum(dtype=np.float64))
-    if mu_pc == 0.0:
-        return np.zeros_like(activation, dtype=np.float64)
-    mu_a = float(activation.sum(dtype=np.float64))
-    return counts.astype(np.float64) * (mu_a / mu_pc)
+    return _rescale(activation, counts)
 
 
 def signed_scaled_pathcount(pre_activation: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -65,29 +61,35 @@ def signed_scaled_pathcount(pre_activation: np.ndarray, counts: np.ndarray) -> n
     return np.sign(pre_activation) * scaled_pathcount(np.abs(pre_activation), counts)
 
 
+class _Kind(NamedTuple):
+    sites: tuple[str, ...] | None  # layer kinds it may replace; None: any layer
+    sites_text: str  # how the wrong-site error names them
+    needs_counts: bool  # reads the trace's path counts
+    replace: Callable  # (activation, the layer's path counts or None) -> replacement
+
+
+# The lambdas look the public functions up per call, so wrappers set on the module see them.
+_KINDS = {
+    "identity": _Kind(None, "", False, lambda a, c: a),
+    "scaled_onoff": _Kind(("relu",), "ReLU outputs only", False,
+                          lambda a, c: scaled_onoff(a, (a > 0).astype(np.float64))),
+    "scaled_pathcount": _Kind(("relu",), "ReLU outputs only", True,
+                              lambda a, c: scaled_pathcount(a, c)),
+    "signed_scaled_pathcount": _Kind(("relu", "conv"), "ReLU or conv outputs", True,
+                                     lambda a, c: signed_scaled_pathcount(a, c)),
+}
+REPLACEMENT_KINDS = tuple(_KINDS)
+
+
 def replaceable_layers(spec: ModelSpec) -> list[str]:
     """Layers the sweep covers: every ReLU output."""
     return [r.name for r in resolve(spec) if r.spec.kind == "relu"]
 
 
-def _layer_kind(spec: ModelSpec, layer: str) -> str:
-    return resolve(spec)[layer_index(layer_names(spec), layer)].spec.kind
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in REPLACEMENT_KINDS:
+def _check_kind(kind: str) -> _Kind:
+    if kind not in _KINDS:
         raise ArgumentError(f"unknown replacement kind {kind!r}; choose from {REPLACEMENT_KINDS}")
-
-
-def _check_site(spec: ModelSpec, layer: str, kind: str) -> None:
-    _check_kind(kind)
-    lk = _layer_kind(spec, layer)
-    if kind == "identity":
-        return
-    if kind in ("scaled_onoff", "scaled_pathcount") and lk != "relu":
-        raise ArgumentError(f"{kind} replaces ReLU outputs only; {layer} is a {lk} layer")
-    if kind == "signed_scaled_pathcount" and lk not in ("relu", "conv"):
-        raise ArgumentError(f"{kind} replaces ReLU or conv outputs; {layer} is a {lk} layer")
+    return _KINDS[kind]
 
 
 def replace_and_infer(
@@ -100,18 +102,14 @@ def replace_and_infer(
 ) -> np.ndarray:
     """Resume inference from `trace` with `layer`'s output substituted per
     `kind`. The path-count kinds read `counts`, the trace's pathcount_forward."""
-    _check_site(spec, layer, kind)
-    act = trace.output(layer)
-    if kind == "identity":
-        replaced = act
-    elif kind == "scaled_onoff":
-        replaced = scaled_onoff(act, (act > 0).astype(np.float64))
-    elif counts is None:
+    k = _check_kind(kind)
+    lk = resolve(spec)[layer_index(layer_names(spec), layer)].spec.kind
+    if k.sites is not None and lk not in k.sites:
+        raise ArgumentError(f"{kind} replaces {k.sites_text}; {layer} is a {lk} layer")
+    if k.needs_counts and counts is None:
         raise ArgumentError(f"{kind} needs the path counts of the trace")
-    elif kind == "scaled_pathcount":
-        replaced = scaled_pathcount(act, counts.layer(layer))
-    else:
-        replaced = signed_scaled_pathcount(act, counts.layer(layer))
+    act = trace.output(layer)
+    replaced = k.replace(act, counts.layer(layer) if k.needs_counts else None)
     return forward_from_layer(weights, spec, layer, replaced.astype(act.dtype))
 
 
@@ -141,15 +139,14 @@ def _sweep_one(x, *, weights, spec, layers, kinds, clip):
     per-layer on-ratio."""
     trace = forward(weights, spec, x)
     base_pred = int(np.argmax(trace.logits))
-    needs_counts = any(k in _NEEDS_COUNTS for k in kinds)
+    needs_counts = any(_KINDS[k].needs_counts for k in kinds)
     counts = pathcount_forward(weights, spec, trace, clip) if needs_counts else None
-    pattern = extract_onoff(trace)
     preds = {}
     for layer in layers:
         for kind in kinds:
             logits = replace_and_infer(weights, spec, trace, layer, kind, counts)
             preds[(layer, kind)] = int(np.argmax(logits))
-    ratios = {layer: float(pattern[layer].mean()) for layer in layers}
+    ratios = {layer: float((trace.output(layer) > 0).mean()) for layer in layers}
     return base_pred, preds, ratios
 
 
@@ -172,6 +169,8 @@ def sweep(
     for kind in kinds:  # every sweep layer is a ReLU, which takes every kind
         _check_kind(kind)
     layers = replaceable_layers(spec)
+    if not layers:
+        raise ArgumentError("model has no ReLU layer to replace")
     worker = functools.partial(
         _sweep_one, weights=weights, spec=spec, layers=layers, kinds=kinds, clip=clip
     )

@@ -467,6 +467,19 @@ def test_sweep_repeated_kind_exits_2_without_writing(conv_fixture, tmp_path, cap
     assert not (tmp_path / "o" / "sweep.csv").exists()
 
 
+def test_sweep_without_relu_layers_exits_2_without_writing(tmp_path, capsys):
+    spec = ModelSpec((1, 1, 2), 2, (flatten(), fc(2)))
+    model = str(tmp_path / "model.npsc")
+    save_model(build_model(spec, seed=0), spec, model)
+    ds = Dataset(np.full((2, 1, 1, 2), 0.5, dtype=np.float32), np.array([0, 1]), 2)
+    images, labels = str(tmp_path / "img.idx"), str(tmp_path / "lbl.idx")
+    write_idx(ds, images, labels)
+    assert run("replace-sweep", "--model", model, "--data-images", images,
+               "--data-labels", labels, "--out", str(tmp_path / "o")) == 2
+    assert "no ReLU layer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_correlate_single_model(conv_fixture, tmp_path):
     model, images, labels = conv_fixture
     out = tmp_path / "o"

@@ -32,7 +32,8 @@ from pathscope import (
     signed_scaled_pathcount,
     sweep,
 )
-from pathscope.model import build_model, resolve
+from pathscope import replacement
+from pathscope.model import build_model, desk_spec, reference_spec, resolve
 from pathscope.replacement import SWEEP_CSV_HEADER, sweep_csv_rows
 
 
@@ -124,6 +125,31 @@ def test_signed_variant_preserves_absolute_total_and_signs(mag, neg, counts):
         assert abs(np.abs(out).sum() - np.abs(pre).sum()) <= 1e-5 * max(1.0, np.abs(pre).sum())
     nz = out != 0
     assert np.all(np.sign(out[nz]) == np.sign(pre[nz]))
+
+
+def _fc_relu_spec():
+    return ModelSpec((1, 6, 6), 3, (conv(2), relu(), maxpool(), flatten(), fc(4), relu(), fc(3)))
+
+
+@pytest.mark.parametrize("make_spec", [desk_spec, reference_spec, _fc_relu_spec],
+                         ids=["desk", "reference", "fc_relu"])
+def test_signed_kind_equals_unsigned_on_relu_layers(make_spec):
+    # A ReLU output is never negative (np.maximum(-0.0, 0) is +0.0) and its
+    # path counts vanish wherever the neuron is off, so re-signing changes no
+    # byte: on ReLU layers the signed kind repeats the unsigned one.
+    spec = make_spec()
+    for seed in range(6):
+        weights = build_model(spec, seed=seed)
+        x = np.random.default_rng(seed).random(spec.input_shape, dtype=np.float32)
+        trace = forward(weights, spec, x)
+        counts = pathcount_forward(weights, spec, trace)
+        for layer in replaceable_layers(spec):
+            act, c = trace.output(layer), counts.layer(layer)
+            assert not np.signbit(act).any()
+            assert signed_scaled_pathcount(act, c).tobytes() == scaled_pathcount(act, c).tobytes()
+            np.testing.assert_array_equal(
+                replace_and_infer(weights, spec, trace, layer, "signed_scaled_pathcount", counts),
+                replace_and_infer(weights, spec, trace, layer, "scaled_pathcount", counts))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +284,18 @@ def test_sweep_rejects_bad_kind_without_relu_layers():
     ds = Dataset(np.zeros((2, 1, 2, 2), dtype=np.float32), np.array([0, 1]), 2)
     with pytest.raises(ArgumentError, match="unknown replacement kind 'bogus'"):
         sweep(build_model(spec, 0), spec, ds, kinds=("bogus",))
+
+
+def test_sweep_without_relu_layers_raises_before_any_forward(monkeypatch):
+    spec = ModelSpec((1, 2, 2), 2, (flatten(), fc(2)))
+    ds = Dataset(np.zeros((2, 1, 2, 2), dtype=np.float32), np.array([0, 1]), 2)
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("sweep ran a forward pass")
+
+    monkeypatch.setattr(replacement, "forward", no_forward)
+    with pytest.raises(ArgumentError, match="no ReLU layer"):
+        sweep(build_model(spec, 0), spec, ds)
 
 
 def test_sweep_is_worker_count_invariant(small_net, small_batch):
