@@ -16,6 +16,10 @@ command in its own process with that tree's `src` on PYTHONPATH:
   clip modes apart;
 - the desk train (600 digits x 2 epochs, seed 0) and the reference train
   (150 digits x 1 epoch);
+- the benchmark's train path: 1000 digits exported to an IDX pair by
+  `scripts/export_synthetic_idx.py` (with the training tail of small digits),
+  a desk train on that pair (its 90/10 split, 2 epochs) and an eval of the
+  model on it;
 - with --full, also the full desk train (8000 digits x 10 epochs).
 
 The analyses are those `run_desk_experiments.analyses` declares. On the
@@ -59,6 +63,8 @@ TRAINS = {
 }
 FULL_TRAIN = {"train_desk_full": ["--profile", "desk", "--synthetic", "--synthetic-n", "8000",
                                   "--epochs", "10", "--seed", "0"]}
+IDX_EXPORT = ["--n", "1000", "--small-fraction", "0.15", "--seed", "0"]
+IDX_STEM = "digits-1000-seed0"
 
 QUICK = analyses(quick=True)
 MEAN_CLIP = {"tau_mean": [*QUICK["tau"], "--clip-mode", "mean"]}
@@ -115,6 +121,14 @@ def battery(tree: str, out: str, full: bool) -> None:
     analyse(tree, MEAN_CLIP, model, os.path.join(out, "mean"), log)
     for name, args in {**TRAINS, **(FULL_TRAIN if full else {})}.items():
         run(tree, [*CLI, "train", *args, "--out", os.path.join(out, name)], log)
+    idx = os.path.join(out, "idx")
+    run(tree, ["scripts/export_synthetic_idx.py", *IDX_EXPORT, "--outdir", idx], log)
+    data = ["--data-images", os.path.join(idx, f"{IDX_STEM}-images.idx"),
+            "--data-labels", os.path.join(idx, f"{IDX_STEM}-labels.idx")]
+    run(tree, [*CLI, "train", "--profile", "desk", *data, "--epochs", "2", "--seed", "0",
+               "--out", os.path.join(out, "train_idx")], log)
+    run(tree, [*CLI, "eval", "--model", os.path.join(out, "train_idx", "model.npsc"), *data,
+               "--out", os.path.join(out, "eval_idx")], log)
 
 
 def digest(path: str, drop: tuple[str, ...]) -> str:

@@ -201,6 +201,7 @@ def cmd_train(cfg: dict) -> int:
         perm = np.random.default_rng(seed).permutation(len(full))
         cut = max(1, int(len(full) * 0.9))
         train_ds, test_ds = full.take(perm[:cut]), full.take(perm[cut:])
+        del full  # the split copies every image; the whole set would be a second copy
     else:
         train_ds = _resolve_dataset(cfg)
         # held-out set stays on the clean size distribution: the low-scale

@@ -67,11 +67,14 @@ def _read_exact(f, n: int, what: str, path) -> bytes:
 
 
 def _read_rest(f, n: int, what: str, path) -> bytes:
-    """The file's remaining bytes, which must be exactly `n`."""
-    data = _read_exact(f, n, what, path)
-    extra = len(f.read())
-    if extra:
-        raise FormatError(f"{path}: {extra} trailing bytes after {what}")
+    """The file's remaining bytes, which must be exactly `n`. They are read
+    whole and then measured, so a header's claim sizes no read: a count past
+    what the file holds is a FormatError, not an allocation of that size."""
+    data = f.read()
+    if len(data) < n:
+        raise FormatError(f"{path}: truncated while reading {what} ({len(data)}/{n} bytes)")
+    if len(data) > n:
+        raise FormatError(f"{path}: {len(data) - n} trailing bytes after {what}")
     return data
 
 
@@ -103,6 +106,8 @@ def write_idx(dataset: Dataset, images_path, labels_path) -> None:
     n, c, h, w = dataset.images.shape
     if c != 1:
         raise ArgumentError(f"IDX stores single-channel images, got {c} channels")
+    if dataset.labels.max(initial=0) > 255:
+        raise ArgumentError(f"IDX stores labels as bytes, got label {dataset.labels.max()}")
     pixels = np.clip(np.rint(dataset.images * 255.0), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", _IDX_IMAGES_MAGIC, n, h, w))

@@ -268,30 +268,38 @@ def _layer_backward(r: ResolvedLayer, weights, x_in, aux, g, input_grad=True, we
     return ops.fc_backward_batch(x_in, weights[r.name], g, weight_grad=weight_grad)
 
 
-def _forward_batch(weights, layers, xb, train=False, drop_rng=None):
+def _forward_batch(weights, layers, xb, train=False, drop_rng=None, cache=True):
     """Run batch `xb` through `layers`, any slice of resolve(spec); returns
     (output, cache), one (layer, its input, its _layer_forward aux) entry per
-    layer, which _backward_batch reverses."""
+    layer, which _backward_batch reverses. With cache=False nothing is kept
+    and the cache is None.
+
+    A training forward caches each ReLU's output in place of its input, so a
+    pre-activation is freed as soon as its ReLU has run: relu_backward reads
+    only where its argument is > 0, and relu(x) > 0 exactly where x > 0."""
     if layers and xb.shape[1:] != layers[0].in_shape:
         raise ShapeError(f"input shape {xb.shape[1:]} != {layers[0].name} input {layers[0].in_shape}")
-    cache = []
+    kept = [] if cache else None
     cur = xb
     for r in layers:
         y, aux = _layer_forward(r, weights, cur, train, drop_rng)
-        cache.append((r, cur, aux))
+        if kept is not None:
+            kept.append((r, y if train and r.spec.kind == "relu" else cur, aux))
         cur = y
-    return cur, cache
+    return cur, kept
 
 
 def _backward_batch(weights, cache, g, image_grad=True, weight_grad=True):
-    """Reverse sweep over a _forward_batch cache for upstream grad `g`;
-    returns (grad wrt the first cached input, parameter gradients summed over
-    the batch). With image_grad=False a leading conv layer skips its input
-    gradient, and the first element is None; with weight_grad=False no fc
-    layer computes its weight gradient."""
+    """Reverse sweep over a _forward_batch cache for upstream grad `g`,
+    releasing each entry once its layer's gradient is taken, so the cache
+    ends empty; returns (grad wrt the first cached input, parameter gradients
+    summed over the batch). With image_grad=False a leading conv layer skips
+    its input gradient, and the first element is None; with weight_grad=False
+    no fc layer computes its weight gradient."""
     grads: dict[str, np.ndarray] = {}
-    for i, (r, x_in, aux) in reversed(list(enumerate(cache))):
-        g, gw = _layer_backward(r, weights, x_in, aux, g, image_grad or i > 0, weight_grad)
+    while cache:
+        r, x_in, aux = cache.pop()
+        g, gw = _layer_backward(r, weights, x_in, aux, g, image_grad or bool(cache), weight_grad)
         if gw is not None:
             grads[r.name] = gw
     return g, grads
@@ -319,7 +327,7 @@ def forward_from_layer(
     # checked here too: resuming after the last layer runs an empty slice
     if tuple(cur.shape) != resolved[i].out_shape:
         raise ShapeError(f"activation shape {cur.shape} != {layer} output {resolved[i].out_shape}")
-    out, _ = _forward_batch(weights, resolved[i + 1:], cur[None])
+    out, _ = _forward_batch(weights, resolved[i + 1:], cur[None], cache=False)
     return out[0]
 
 
@@ -403,8 +411,10 @@ def train_sgd(weights, spec, dataset, config: TrainConfig):
     return w, history
 
 
-# The training batch: _forward_batch keeps every layer's input for a reverse
-# sweep, so a larger inference batch only holds more memory that no one reads.
+# The training batch. Inference keeps no cache, so it holds about two layers'
+# activations of one batch at a time. Each image is its own conv matmul, so a
+# batch of a few dozen images already spreads the per-layer call overhead,
+# and a larger batch runs no faster, only holds more.
 _PREDICT_BATCH = 64
 
 
@@ -412,7 +422,8 @@ def predict_batch(weights, spec, images) -> np.ndarray:
     """Argmax class per image; ties break to the lowest class index."""
     preds = []
     for start in range(0, len(images), _PREDICT_BATCH):
-        logits, _ = _forward_batch(weights, resolve(spec), images[start:start + _PREDICT_BATCH])
+        logits, _ = _forward_batch(weights, resolve(spec), images[start:start + _PREDICT_BATCH],
+                                   cache=False)
         preds.append(np.argmax(logits, axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 

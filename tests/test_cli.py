@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -279,6 +280,22 @@ def test_corrupt_idx_exits_2(conv_fixture, tmp_path):
     lbl.write_bytes(b"\x00\x00\x08\x01\x00\x00\x00\x02\x00\x01")
     assert run("eval", "--model", model, "--data-images", str(img),
                "--data-labels", str(lbl), "--out", str(tmp_path / "o")) == 2
+
+
+@pytest.mark.parametrize("which, header", [
+    ("images", struct.pack(">IIII", 0x803, 2**32 - 1, 65535, 65535)),
+    ("labels", struct.pack(">II", 0x801, 2**32 - 1)),
+], ids=["images", "labels"])
+def test_idx_header_claiming_more_than_the_file_exits_2(conv_fixture, tmp_path, capsys,
+                                                        which, header):
+    model, images, labels = conv_fixture
+    bad = tmp_path / "claims.idx"
+    bad.write_bytes(header + bytes(64))
+    pair = {"images": images, "labels": labels, which: str(bad)}
+    assert run("eval", "--model", model, "--data-images", pair["images"],
+               "--data-labels", pair["labels"], "--out", str(tmp_path / "o")) == 2
+    assert "truncated" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_mismatched_input_shape_exits_2(conv_fixture, tmp_path):

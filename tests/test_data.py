@@ -89,6 +89,16 @@ def test_idx_round_trip(tmp_path):
     assert (tmp_path / "lb").read_bytes() == (tmp_path / "lb2").read_bytes()
 
 
+def test_write_idx_rejects_a_label_past_a_byte(tmp_path):
+    images = np.zeros((2, 1, 2, 2), dtype=np.float32)
+    ps.write_idx(ps.Dataset(images, np.array([3, 255]), 256), tmp_path / "im", tmp_path / "lb")
+    np.testing.assert_array_equal(ps.load_idx(tmp_path / "im", tmp_path / "lb").labels, [3, 255])
+    with pytest.raises(ArgumentError, match="label 300"):
+        ps.write_idx(ps.Dataset(images, np.array([3, 300]), 301),
+                     tmp_path / "im2", tmp_path / "lb2")
+    assert not (tmp_path / "im2").exists() and not (tmp_path / "lb2").exists()
+
+
 def test_blobs_deterministic_and_bounded():
     a = ps.synthetic_blobs(30, classes=3, seed=5)
     b = ps.synthetic_blobs(30, classes=3, seed=5)

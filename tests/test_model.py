@@ -331,6 +331,49 @@ def test_predict_peak_stays_below_training_step():
     assert predict_peak < train_peak
 
 
+def test_training_step_holds_nothing_into_the_next():
+    # Each step's reverse sweep releases its cache, so four steps of 64 peak
+    # where one does. A step may still hold its batch of images and one set of
+    # weight gradients (accumulated in float64) into the next.
+    spec = desk_spec()
+    weights = ps.build_model(spec, 0)
+    ds = ps.synthetic_digits(256, seed=3)
+    config = ps.TrainConfig(0.01, 1, 64, 0)
+    ps.train_sgd(weights, spec, ps.subsample(ds, 4), config)  # the kept conv buffers
+    one = ps.subsample(ds, 64)
+    _, one_peak = traced_peak(lambda: ps.train_sgd(weights, spec, one, config))
+    _, four_peak = traced_peak(lambda: ps.train_sgd(weights, spec, ds, config))
+    slack = one.images.nbytes + 2 * sum(w.nbytes for w in weights.values())
+    assert four_peak <= one_peak + slack
+
+
+def test_predict_keeps_no_cache():
+    # A cache of one batch would hold every conv and ReLU output of its
+    # images; inference holds only a layer's input, its output and the
+    # layer's scratch at a time.
+    spec = desk_spec()
+    weights = ps.build_model(spec, 0)
+    images = ps.synthetic_digits(256, seed=3).images
+    predict_batch(weights, spec, images[:4])  # the kept conv buffers
+    _, peak = traced_peak(lambda: predict_batch(weights, spec, images))
+    one_cache = sum(model._PREDICT_BATCH * images.itemsize * int(np.prod(r.out_shape))
+                    for r in resolve(spec) if r.spec.kind in ("conv", "relu"))
+    assert peak < one_cache
+
+
+def test_training_cache_holds_no_pre_activation_and_backward_empties_it():
+    spec = desk_spec()
+    weights = ps.build_model(spec, 0)
+    x = ps.synthetic_digits(8, seed=1).images
+    logits, cache = _forward_batch(weights, resolve(spec), x, train=True,
+                                   drop_rng=np.random.default_rng(0))
+    # each ReLU's entry is its output, the array the next layer reads
+    relus = [i for i, (r, _, _) in enumerate(cache) if r.spec.kind == "relu"]
+    assert relus and all(cache[i][1] is cache[i + 1][1] for i in relus)
+    model._backward_batch(weights, cache, np.ones_like(logits), image_grad=False)
+    assert cache == []
+
+
 def test_dropout_training_only():
     spec = ps.ModelSpec((1, 4, 4), 2,
                         (ps.dropout(0.5), ps.flatten(), ps.fc(2)))

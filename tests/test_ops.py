@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import pathscope as ps
 from pathscope import model, ops
@@ -298,6 +299,22 @@ def test_relu_gradient():
     x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
     g = np.ones_like(x)
     np.testing.assert_array_equal(ops.relu_backward(x, g), [0, 0, 0, 1, 1])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_relu_backward_reads_its_output_as_its_input(dtype, data):
+    # A training forward caches each ReLU's output for the reverse step in
+    # place of its input, which is exact only if relu(x) > 0 where x > 0.
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny], dtype=dtype)
+    floats = st.floats(width=np.finfo(dtype).bits, allow_nan=True, allow_subnormal=True)
+    x = np.concatenate([specials, data.draw(arrays(dtype, st.integers(0, 32), elements=floats))])
+    g = data.draw(arrays(dtype, x.shape, elements=st.one_of(floats, st.sampled_from(specials))))
+    with np.errstate(invalid="ignore"):  # an infinite grad times a closed gate is NaN
+        assert (ops.relu_backward(ops.relu_forward(x), g).tobytes()
+                == ops.relu_backward(x, g).tobytes())
 
 
 def test_softmax_cross_entropy_gradient():
