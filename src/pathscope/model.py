@@ -276,7 +276,9 @@ def _forward_batch(weights, layers, xb, train=False, drop_rng=None, cache=True):
 
     A training forward caches each ReLU's output in place of its input, so a
     pre-activation is freed as soon as its ReLU has run: relu_backward reads
-    only where its argument is > 0, and relu(x) > 0 exactly where x > 0."""
+    only where its argument is > 0, and relu(x) > 0 exactly where x > 0. Its
+    dropout entries keep no input, since dropout's reverse step reads only
+    the mask."""
     if layers and xb.shape[1:] != layers[0].in_shape:
         raise ShapeError(f"input shape {xb.shape[1:]} != {layers[0].name} input {layers[0].in_shape}")
     kept = [] if cache else None
@@ -284,7 +286,8 @@ def _forward_batch(weights, layers, xb, train=False, drop_rng=None, cache=True):
     for r in layers:
         y, aux = _layer_forward(r, weights, cur, train, drop_rng)
         if kept is not None:
-            kept.append((r, y if train and r.spec.kind == "relu" else cur, aux))
+            held = {"relu": y, "dropout": None}.get(r.spec.kind, cur) if train else cur
+            kept.append((r, held, aux))
         cur = y
     return cur, kept
 

@@ -38,9 +38,16 @@ its window when it is strictly greater than the running maximum, or is the
 window's first NaN (np.argmax's rule), so ties, 0.0 beside -0.0 included,
 keep the first element in row-major window order; the values are gathered
 through the routing, so the winner's sign survives. The flat index of each
-window's first element is cached per geometry. Pool backward sums the
-routed gradients per input position in routing order, so overlapping windows
-(stride < window) that route two outputs to one input add both.
+window's first element is cached per geometry. Pool backward is a
+scatter-add (np.add.at) of the routed gradients into a zero array of the
+gradient's dtype, in routing order, so overlapping windows (stride < window)
+that route two outputs to one input add both. This gives the bits of a
+float64 sum cast back to the dtype wherever an input receives at most two
+gradients: one is 0 + g, exact (-0.0 turning +0.0, NaN staying NaN), and two
+float32 addends rounded once in float32 match their float64 sum rounded twice,
+as 53 >= 2*24 + 2 bits. So any pool with stride >= window is exact. Only
+float32 pools with overlapping windows, where an input can receive three or
+more gradients, round after each addition.
 """
 
 from __future__ import annotations
@@ -213,15 +220,19 @@ def maxpool_backward_batch(x_shape, routing, grad_out):
     """Route upstream gradient to each window's argmax position.
 
     Overlapping windows can route several outputs to one input; those
-    gradients are summed in routing order, as a scatter-add would.
+    gradients are added in routing order, in the gradient's dtype.
     """
     b, c, h, w = x_shape
     size = c * h * w
+    if grad_out.shape != routing.shape or routing.shape[0] != b:
+        raise ShapeError(f"upstream grad shape {grad_out.shape} != routing {routing.shape} "
+                         f"of a batch of {b}")
     if routing.size and (routing.min() < 0 or routing.max() >= size):
         raise ShapeError(f"routing indexes outside a [{c},{h},{w}] sample")
     flat = (routing + (np.arange(b) * size).reshape(b, 1, 1, 1)).reshape(-1)
-    gx = np.bincount(flat, weights=grad_out.reshape(-1), minlength=b * size)
-    return gx.reshape(x_shape).astype(grad_out.dtype, copy=False)
+    gx = np.zeros(b * size, dtype=grad_out.dtype)
+    np.add.at(gx, flat, grad_out.reshape(-1))
+    return gx.reshape(x_shape)
 
 
 def fc_forward_batch(x, weights):

@@ -374,6 +374,20 @@ def test_training_cache_holds_no_pre_activation_and_backward_empties_it():
     assert cache == []
 
 
+def test_training_dropout_entry_holds_only_its_mask():
+    # Dropout's reverse step reads only the mask, so its training entry keeps
+    # no activation and the pool output is freed once dropout has run.
+    spec = desk_spec()
+    weights = ps.build_model(spec, 0)
+    x = ps.synthetic_digits(8, seed=1).images
+    logits, cache = _forward_batch(weights, resolve(spec), x, train=True,
+                                   drop_rng=np.random.default_rng(0))
+    (r, held, mask), = [e for e in cache if e[0].spec.kind == "dropout"]
+    assert held is None and mask.shape == (8, *r.in_shape)
+    model._backward_batch(weights, cache, np.ones_like(logits), image_grad=False)
+    assert cache == []
+
+
 def test_dropout_training_only():
     spec = ps.ModelSpec((1, 4, 4), 2,
                         (ps.dropout(0.5), ps.flatten(), ps.fc(2)))

@@ -207,6 +207,73 @@ def test_maxpool_backward_rejects_routing_outside_sample():
             ops.maxpool_backward_batch((2, 1, 2, 2), routing, g_out)
 
 
+def test_maxpool_backward_rejects_grad_of_another_shape():
+    # A scatter-add broadcasts: a (1,1,1,1) grad would land on every route.
+    routing = np.array([0, 3, 1, 2]).reshape(1, 1, 2, 2)
+    for g_out in (np.ones((1, 1, 1, 1)), np.ones((1, 1, 2, 1)), np.ones((1, 4))):
+        with pytest.raises(ShapeError, match="upstream grad shape"):
+            ops.maxpool_backward_batch((1, 1, 4, 4), routing, g_out)
+    # routing and grad agree, but not with the input's batch
+    with pytest.raises(ShapeError, match="upstream grad shape"):
+        ops.maxpool_backward_batch((2, 1, 4, 4), routing, np.ones((1, 1, 2, 2)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 3), c=st.integers(1, 3),
+       oh=st.integers(1, 4), ow=st.integers(2, 4), window=st.integers(1, 3),
+       extra_stride=st.integers(0, 2), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_maxpool_backward_float32_disjoint_windows_equals_float64(
+        seed, b, c, oh, ow, window, extra_stride, data):
+    # Stride >= window routes at most one gradient to each input, so the
+    # float32 scatter-add is 0 + g rounded once: the bits of the float64
+    # loop cast back, -0.0 -> +0.0, infinities and NaN included.
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=np.float32)
+    assume(b * c * oh * ow >= len(specials))
+    stride = window + extra_stride
+    rng = np.random.default_rng(seed)
+    # any height and width with oh x ow windows, the trailing rows and columns
+    # that no window covers included
+    h = window + (oh - 1) * stride + int(rng.integers(0, stride))
+    w = window + (ow - 1) * stride + int(rng.integers(0, stride))
+    x = rng.standard_normal((b, c, h, w)).astype(np.float32)
+    _, routing = ops.maxpool_forward_batch(x, window, stride)
+    floats = st.floats(width=32, allow_nan=True, allow_subnormal=True)
+    g_out = data.draw(arrays(np.float32, routing.shape, elements=floats))
+    g_out.reshape(-1)[rng.permutation(g_out.size)[:len(specials)]] = specials
+    got = ops.maxpool_backward_batch(x.shape, routing, g_out)
+    want = maxpool_backward_naive(x.shape, routing, g_out).astype(np.float32)
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("window", [2, 3])
+def test_maxpool_backward_overlapping_float32_adds_in_routing_order(window):
+    # Overlapping windows can route three or more gradients to one input; in
+    # float32 each addition is rounded, in routing order.
+    rng = np.random.default_rng(310 + window)
+    x = rng.standard_normal((3, 2, 7, 6)).astype(np.float32)
+    y, routing = ops.maxpool_forward_batch(x, window, 1)
+    assert max(np.bincount(r).max() for r in routing.reshape(3, -1)) >= 3
+    g_out = rng.standard_normal(y.shape).astype(np.float32)
+    want = np.zeros((3, 2 * 7 * 6), dtype=np.float32)
+    for i in range(3):
+        for j, g in zip(routing[i].reshape(-1), g_out[i].reshape(-1)):
+            want[i, j] = want[i, j] + g
+    got = ops.maxpool_backward_batch(x.shape, routing, g_out)
+    assert got.tobytes() == want.reshape(x.shape).tobytes()
+
+
+def test_maxpool_backward_peak_is_its_result_and_routes():
+    # A batch-64 desk pool backward holds its float32 result and the batch's
+    # flat routes, and no float64 copy of either.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((64, 8, 28, 28)).astype(np.float32)
+    y, routing = ops.maxpool_forward_batch(x, 2, 2)
+    g_out = rng.standard_normal(y.shape).astype(np.float32)
+    gx, peak = _traced_peak(lambda: ops.maxpool_backward_batch(x.shape, routing, g_out))
+    assert peak < gx.nbytes + routing.nbytes + 64 * 2**10
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_fc_matches_naive(seed):
     rng = np.random.default_rng(200 + seed)
