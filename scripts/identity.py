@@ -16,6 +16,11 @@ command in its own process with that tree's `src` on PYTHONPATH:
   clip modes apart;
 - the desk train (600 digits x 2 epochs, seed 0) and the reference train
   (150 digits x 1 epoch);
+- tau reports on the trained reference model (4 digits), and the battery's
+  tau as a two-model aggregate of the quick desk model and the desk train,
+  which also writes each model's `tau_model<i>.csv`. With the quick desk
+  report, these cover tau-b on the desk profile, on the reference profile
+  and across models;
 - the benchmark's train path: 1000 digits exported to an IDX pair by
   `scripts/export_synthetic_idx.py` (with the training tail of small digits),
   a desk train on that pair (its 90/10 split, 2 epochs) and an eval of the
@@ -68,6 +73,9 @@ IDX_STEM = "digits-1000-seed0"
 
 QUICK = analyses(quick=True)
 MEAN_CLIP = {"tau_mean": [*QUICK["tau"], "--clip-mode", "mean"]}
+TAU_REFERENCE = {"tau_reference": ["correlate", "--synthetic", "--synthetic-n", "8",
+                                   "--sample", "4"]}
+TAU_AGGREGATE = {"tau_aggregate": QUICK["tau"]}
 # The commands that map their images over --workers processes.
 PARALLEL = ("replace-sweep", "correlate", "degrade", "tilematch")
 
@@ -121,6 +129,9 @@ def battery(tree: str, out: str, full: bool) -> None:
     analyse(tree, MEAN_CLIP, model, os.path.join(out, "mean"), log)
     for name, args in {**TRAINS, **(FULL_TRAIN if full else {})}.items():
         run(tree, [*CLI, "train", *args, "--out", os.path.join(out, name)], log)
+    analyse(tree, TAU_REFERENCE, os.path.join(out, "train_reference", "model.npsc"), out, log)
+    analyse(tree, TAU_AGGREGATE, f"{model},{os.path.join(out, 'train_desk', 'model.npsc')}",
+            out, log)
     idx = os.path.join(out, "idx")
     run(tree, ["scripts/export_synthetic_idx.py", *IDX_EXPORT, "--outdir", idx], log)
     data = ["--data-images", os.path.join(idx, f"{IDX_STEM}-images.idx"),

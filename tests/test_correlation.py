@@ -221,6 +221,80 @@ def test_matches_naive_on_random_tied_vectors(xs, data):
     assert kendall_tau_b(xs, ys) == pytest.approx(tau_b_naive(xs, ys), abs=1e-12)
 
 
+def _dense(v):
+    """v's dense ranks. Tau-b reads only the order, and the all-pairs oracle
+    subtracts, which would turn inf - inf into NaN."""
+    return np.unique(v, return_inverse=True)[1]
+
+
+_NONZERO = st.sampled_from([1.0, -1.0, 2.0, 1e300, -1e300, math.inf, -math.inf])
+_Y_VALUES = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.0, math.inf, -math.inf])
+
+
+@given(st.integers(1, 12), st.integers(0, 12), _Y_VALUES,
+       st.sampled_from(["y at its minimum on the block", "any y", "y not constant on the block"]),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_zero_block_split_matches_naive(z, m, c, case, data):
+    # x's zero block (0.0 beside -0.0) where y is c; a complement of m
+    # elements with ties, and with y == c there too
+    assume(z + m >= 2)
+    xs = data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=z, max_size=z))
+    xs += data.draw(st.lists(_NONZERO, min_size=m, max_size=m))
+    rest = data.draw(st.lists(st.one_of(st.just(c), _Y_VALUES), min_size=m, max_size=m))
+    if case == "y at its minimum on the block":
+        rest = [max(v, c) for v in rest]
+    ys = [c] * z + rest
+    if case == "y not constant on the block":
+        assume(z > 1)
+        ys[0] = data.draw(_Y_VALUES.filter(lambda v: v != c))
+    p = data.draw(st.permutations(range(z + m)))
+    x, y = np.array(xs)[p], np.array(ys)[p]
+    if len(set(xs)) < 2 or len(set(ys)) < 2:
+        with pytest.raises(UndefinedCorrelationError):
+            kendall_tau_b(x, y)
+    else:
+        assert kendall_tau_b(x, y) == tau_b_naive(_dense(x), _dense(y))
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, -0.0, 0.0, 1.0, math.nan], [0.0, 0.0, 0.0, 1.0, 2.0]),
+    ([0.0, -0.0, 0.0, 1.0, 2.0], [5.0, 5.0, 5.0, math.nan, 2.0]),
+    ([0.0, 0.0, math.nan], [1.0, 1.0, 1.0]),
+], ids=["x", "y", "all-ties-and-nan"])
+def test_nan_beside_a_zero_block_raises(x, y):
+    with pytest.raises(NumericalError, match="NaN"):
+        kendall_tau_b(x, y)
+
+
+def test_zero_block_leaves_only_the_nonzero_complement_to_sort(monkeypatch):
+    # a ReLU layer's shape: n = 8 x 28 x 28, most neurons off with count 0
+    rng = np.random.default_rng(35)
+    n = 6272
+    rep = np.maximum(rng.standard_normal(n) - 1.2, 0.0)
+    counts = np.where(rep > 0, rng.integers(0, 40, n), 0).astype(np.float64)
+    on = rep > 0
+    n0 = n * (n - 1) // 2
+    n1, n2, conc_minus_disc = correlation._tau_counts(rep, counts)
+    whole = conc_minus_disc / math.sqrt((n0 - n1) * (n0 - n2))
+    seen = []
+    tau_counts = correlation._tau_counts
+
+    def spy(x, y):
+        seen.append((x.copy(), y.copy()))
+        return tau_counts(x, y)
+
+    monkeypatch.setattr(correlation, "_tau_counts", spy)
+    assert kendall_tau_b(rep, counts) == whole
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0][0], rep[on])
+    np.testing.assert_array_equal(seen[0][1], counts[on])
+    # counts that differ on the zero block (conv1's padded borders): no split
+    counts[~on] = rng.integers(0, 3, n - on.sum())
+    kendall_tau_b(rep, counts)
+    assert seen[1][0].size == n
+
+
 def test_matches_scipy_on_long_tied_vectors():
     scipy_stats = pytest.importorskip("scipy.stats")
     rng = np.random.default_rng(8)
