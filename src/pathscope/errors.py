@@ -30,7 +30,7 @@ class SizeError(PathscopeError):
 
 
 class NumericalError(PathscopeError):
-    """A numerical failure (non-finite loss) occurred."""
+    """A numerical failure (non-finite loss or logits) occurred."""
 
 
 class UndefinedCorrelationError(PathscopeError):

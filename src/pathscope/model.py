@@ -278,7 +278,11 @@ def _forward_batch(weights, layers, xb, train=False, drop_rng=None, cache=True):
     pre-activation is freed as soon as its ReLU has run: relu_backward reads
     only where its argument is > 0, and relu(x) > 0 exactly where x > 0. Its
     dropout entries keep no input, since dropout's reverse step reads only
-    the mask."""
+    the mask.
+
+    An inference forward (train=False) raises NumericalError when its output
+    is not finite: finite weights can still overflow float32, and argmax
+    over inf or NaN logits would score the model as if it had predicted."""
     if layers and xb.shape[1:] != layers[0].in_shape:
         raise ShapeError(f"input shape {xb.shape[1:]} != {layers[0].name} input {layers[0].in_shape}")
     kept = [] if cache else None
@@ -289,6 +293,9 @@ def _forward_batch(weights, layers, xb, train=False, drop_rng=None, cache=True):
             held = {"relu": y, "dropout": None}.get(r.spec.kind, cur) if train else cur
             kept.append((r, held, aux))
         cur = y
+    if not train and not np.isfinite(cur).all():
+        raise NumericalError(f"non-finite logits: {int(np.sum(~np.isfinite(cur)))} of "
+                             f"{cur.size} values are inf or NaN")
     return cur, kept
 
 

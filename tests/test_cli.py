@@ -181,6 +181,40 @@ def test_diverging_training_exits_3_without_writing(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_one_batch_divergence_exits_3_without_writing(tmp_path, capsys):
+    # one batch per epoch: the loss check sees only the loss from before the
+    # update, so the overflowing model is caught when train scores it
+    assert run("train", "--synthetic", "--synthetic-n", "20", "--epochs", "1",
+               "--lr", "1e30", "--out", str(tmp_path / "o")) == 3
+    assert "non-finite logits" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def overflowing_model(tmp_path_factory):
+    """A desk model whose weights are finite but whose logits overflow float32."""
+    spec = desk_spec()
+    model = str(tmp_path_factory.mktemp("overflow") / "model.npsc")
+    save_model({k: v * np.float32(1e12) for k, v in build_model(spec, seed=1).items()},
+               spec, model)
+    return model
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, args", [
+    ("eval", []), ("replace-sweep", ["--sample", "2"]), ("degrade", ["--sample", "2"]),
+    ("correlate", ["--sample", "2"]), ("tilematch", ["--tiles", "2"]), ("cam", []),
+    ("pathcount", []),
+])
+def test_overflowing_logits_exit_3_without_writing(overflowing_model, tmp_path, capsys,
+                                                    command, args):
+    assert run(command, "--model", overflowing_model, "--synthetic", "--synthetic-n", "10",
+               *args, "--out", str(tmp_path / "o")) == 3
+    assert "non-finite logits" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--lr", "nan"), ("--lr", "inf"),
     ("--small-fraction", "-0.1"), ("--small-fraction", "1.5"), ("--small-fraction", "nan"),

@@ -250,6 +250,24 @@ def test_train_nan_aborts():
         ps.train_sgd(weights, spec, ds, ps.TrainConfig(0.1, 1, 4, 0))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_logits_raise_on_inference_only():
+    # finite weights whose logits overflow: every inference forward refuses
+    # them, and a training step keeps its own non-finite loss message
+    spec = ps.ModelSpec((1, 2, 2), 2, (ps.flatten(), ps.fc(2)))
+    weights = {"fc1": np.full((2, 4), 3e38, dtype=np.float32)}
+    x = np.ones((1, 2, 2), dtype=np.float32)
+    for infer in (lambda: ps.forward(weights, spec, x),
+                  lambda: predict_batch(weights, spec, x[None]),
+                  lambda: ps.forward_from_layer(weights, spec, "flatten1", x.reshape(4))):
+        with pytest.raises(NumericalError, match="^non-finite logits: 2 of 2 values"):
+            infer()
+    ds = ps.Dataset(np.ones((4, 1, 2, 2), dtype=np.float32),
+                    np.array([0, 1, 0, 1], dtype=np.int64), 2)
+    with pytest.raises(NumericalError, match="^non-finite loss .* at epoch 0, sample offset 0$"):
+        ps.train_sgd(weights, spec, ds, ps.TrainConfig(0.1, 1, 4, 0))
+
+
 def test_evaluate_accuracy_contracts(small_conv_model):
     spec, weights = small_conv_model
     with pytest.raises(ArgumentError):
