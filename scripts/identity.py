@@ -9,35 +9,31 @@ command in its own process with that tree's `src` on PYTHONPATH. Both trees
 write into the same absolute directory, one after the other, and the
 parent's outputs are moved aside in between. So every file, each
 `*_config.json` sidecar with its paths included, is compared by the sha256
-of its bytes. The battery:
+of its bytes. The battery, in the order of BATTERY:
 
-- `scripts/run_desk_experiments.py --quick`: a desk train (800 digits x 2
-  epochs, seed 0), then every analysis it declares on that model, every
-  cam/degrade/tilematch variant included, in the default absolute clip mode;
-- its tau report again on that model with --clip-mode mean. The clip acts
-  only on fc weights, and tau is the battery's one report that reads the
-  counts of an fc layer (the desk head), so it is the one that can tell the
-  clip modes apart;
-- the desk train (600 digits x 2 epochs, seed 0) and the reference train
-  (150 digits x 1 epoch: batches of 64, 64 and 22);
-- on the reference model, a tau report (4 digits) and an eval (64 digits);
-- the battery's tau as a two-model aggregate of the quick desk model and the
-  desk train, which also writes each model's `tau_model<i>.csv`;
-- 50 digits exported to an IDX pair by `scripts/export_synthetic_idx.py` with
-  its defaults, and an eval of the quick desk model on that pair. The
-  script's defaults are the digit generator's, so a drift between the two
-  changes these bytes;
+- `scripts/run_desk_experiments.py --quick`: the quick desk train (800
+  synthetic digits x 2 epochs, seed 0, 1000 held-out digits, a last partial
+  batch) and every analysis it declares on that model, in the default clip;
+- its tau again with --clip-mode mean: tau is the one analysis that reads an
+  fc layer's counts (the desk head), and the clip acts only on fc weights;
+- on that model, a 2-image replace-sweep and one digit's path counts in both
+  clip modes (the only reports that write raw path counts);
+- the reference train (150 digits x 1 epoch: batches of 64, 64 and 22), and
+  on that 32-channel model the same path counts, a tau (4 digits) and an eval;
+- 50 digits exported by `scripts/export_synthetic_idx.py` with its defaults,
+  which are the digit generator's, and an eval of the quick model on them;
 - the benchmark's train path: 1000 digits exported with the training tail of
   small digits, a desk train on that pair (its 90/10 split, 2 epochs) and an
   eval of the model on it;
+- the two-model tau aggregate of the quick and the IDX-trained model, which
+  also writes each model's `tau_model<i>.csv`;
 - with --full, also the full desk train (8000 digits x 10 epochs).
 
-On the working tree only, the analyses that take --workers then run again
-on the quick desk model with --workers 1 and with --workers 2, and a 2-image
-replace-sweep with --workers 1 and with --workers 3: the one run where
-workers outnumber images, so a forked share holds one image. Both counts
-write into one directory in turn, and their reports are compared with each
-other, without the `*_config.json` sidecars, which record the worker count.
+On the working tree only, every analysis above that takes --workers then
+runs again with --workers 2, and the 2-image sweep with --workers 3, the one
+run where workers outnumber images. Each rerun's reports are compared with
+the battery's own, without the `*_config.json` sidecars, which record the
+worker count.
 
 Prints one line per file: its status, its path and both sha256 values.
 Exits 0 when every file is identical or its difference matches an
@@ -63,26 +59,51 @@ from run_desk_experiments import analyses
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLI = ["-c", "from pathscope.cli import entrypoint; entrypoint()"]
 
-TRAINS = {
-    "train_desk": ["--profile", "desk", "--synthetic", "--synthetic-n", "600",
-                   "--epochs", "2", "--seed", "0"],
-    "train_reference": ["--profile", "reference", "--synthetic", "--synthetic-n", "150",
-                        "--epochs", "1", "--seed", "0"],
-}
-FULL_TRAIN = {"train_desk_full": ["--profile", "desk", "--synthetic", "--synthetic-n", "8000",
-                                  "--epochs", "10", "--seed", "0"]}
-
 QUICK = analyses(quick=True)
-MEAN_CLIP = {"tau_mean": [*QUICK["tau"], "--clip-mode", "mean"]}
-REFERENCE = {"tau_reference": ["correlate", "--synthetic", "--synthetic-n", "8", "--sample", "4"],
-             "eval_reference": ["eval", "--synthetic", "--synthetic-n", "64"]}
-TAU_AGGREGATE = {"tau_aggregate": QUICK["tau"]}
-# The analyses that map their images over --workers processes, each with the
-# worker count its reports are compared at against --workers 1.
-PARALLEL = {name: (args, "2") for name, args in {**QUICK, **MEAN_CLIP}.items()
+MODEL = "{out}/desk/train/model.npsc"
+REFERENCE = "{out}/train_reference/model.npsc"
+IDX_MODEL = "{out}/train_idx/model.npsc"
+PATHCOUNT = ["pathcount", "--synthetic", "--synthetic-n", "16", "--sample", "3", "--seed", "1"]
+
+
+def idx(n: int) -> list[str]:
+    """The flags that read the pair an `--n <n>` export writes into idx<n>."""
+    stem = f"{{out}}/idx{n}/digits-{n}-seed0"
+    return ["--data-images", f"{stem}-images.idx", "--data-labels", f"{stem}-labels.idx"]
+
+
+# The battery in run order: each entry's directory and its arguments, in which
+# "{out}" stands for the battery's output directory. An entry that names a
+# script runs it with --outdir; any other runs that pathscope command with --out.
+BATTERY = {
+    "desk": ["scripts/run_desk_experiments.py", "--quick"],
+    "mean/tau_mean": [*QUICK["tau"], "--clip-mode", "mean", "--model", MODEL],
+    "sweep_2img": ["replace-sweep", "--synthetic", "--synthetic-n", "20", "--sample", "2",
+                   "--seed", "1", "--model", MODEL],
+    "pathcount": [*PATHCOUNT, "--model", MODEL],
+    "pathcount_mean": [*PATHCOUNT, "--clip-mode", "mean", "--model", MODEL],
+    "train_reference": ["train", "--profile", "reference", "--synthetic", "--synthetic-n", "150",
+                        "--epochs", "1", "--seed", "0"],
+    "pathcount_reference": [*PATHCOUNT, "--model", REFERENCE],
+    "tau_reference": ["correlate", "--synthetic", "--synthetic-n", "8", "--sample", "4",
+                      "--model", REFERENCE],
+    "eval_reference": ["eval", "--synthetic", "--synthetic-n", "64", "--model", REFERENCE],
+    "idx50": ["scripts/export_synthetic_idx.py", "--n", "50"],
+    "eval_idx50": ["eval", "--model", MODEL, *idx(50)],
+    "idx1000": ["scripts/export_synthetic_idx.py", "--n", "1000", "--small-fraction", "0.15",
+                "--seed", "0"],
+    "train_idx": ["train", "--profile", "desk", *idx(1000), "--epochs", "2", "--seed", "0"],
+    "eval_idx": ["eval", "--model", IDX_MODEL, *idx(1000)],
+    "tau_aggregate": [*QUICK["tau"], "--model", f"{MODEL},{IDX_MODEL}"],
+}
+FULL = {"train_desk_full": ["train", "--profile", "desk", "--synthetic", "--synthetic-n", "8000",
+                            "--epochs", "10", "--seed", "0"]}
+# The battery's analyses that map their images over --workers processes, the
+# quick script's included, each with its rerun's worker count.
+PARALLEL = {name: [*args, "--workers", "3" if name == "sweep_2img" else "2"]
+            for name, args in {**{f"desk/{n}": [*a, "--model", MODEL] for n, a in QUICK.items()},
+                               **BATTERY}.items()
             if args[0] in ("replace-sweep", "correlate", "degrade", "tilematch")}
-PARALLEL["sweep_2img"] = (["replace-sweep", "--synthetic", "--synthetic-n", "20",
-                           "--sample", "2", "--seed", "1"], "3")
 
 
 class Failed(Exception):
@@ -107,6 +128,14 @@ def export(rev: str, dest: str) -> str:
     return commit
 
 
+def command(args: list[str], out: str, dest: str) -> list[str]:
+    """The argv of a table entry, "{out}" read as `out`, writing into `dest`."""
+    args = [a.replace("{out}", out) for a in args]
+    if args[0].startswith("scripts/"):
+        return [*args, "--outdir", dest]
+    return [*CLI, *args, "--out", dest]
+
+
 def run(tree: str, argv: list[str], log: str) -> None:
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
     with open(log, "a") as f:
@@ -120,38 +149,10 @@ def run(tree: str, argv: list[str], log: str) -> None:
         raise Failed(f"exit {code} in {tree}: {' '.join(argv)}\n{tail}")
 
 
-def analyse(tree: str, commands: dict[str, list[str]], model: str, out: str, log: str) -> None:
-    for name, args in commands.items():
-        run(tree, [*CLI, *args, "--model", model, "--out", os.path.join(out, name)], log)
-
-
-def export_idx(tree: str, argv: list[str], stem: str, out: str, log: str) -> list[str]:
-    """Export an IDX pair into `out`; return the flags that read it."""
-    run(tree, ["scripts/export_synthetic_idx.py", *argv, "--outdir", out], log)
-    return ["--data-images", os.path.join(out, f"{stem}-images.idx"),
-            "--data-labels", os.path.join(out, f"{stem}-labels.idx")]
-
-
-def battery(tree: str, out: str, log: str, full: bool) -> None:
-    run(tree, ["scripts/run_desk_experiments.py", "--quick", "--outdir",
-               os.path.join(out, "desk")], log)
-    model = os.path.join(out, "desk", "train", "model.npsc")
-    analyse(tree, MEAN_CLIP, model, os.path.join(out, "mean"), log)
-    for name, args in {**TRAINS, **(FULL_TRAIN if full else {})}.items():
-        run(tree, [*CLI, "train", *args, "--out", os.path.join(out, name)], log)
-    analyse(tree, REFERENCE, os.path.join(out, "train_reference", "model.npsc"), out, log)
-    analyse(tree, TAU_AGGREGATE, f"{model},{os.path.join(out, 'train_desk', 'model.npsc')}",
-            out, log)
-    idx = os.path.join(out, "idx")
-    data = export_idx(tree, ["--n", "50"], "digits-50-seed0", idx, log)
-    run(tree, [*CLI, "eval", "--model", model, *data, "--out", os.path.join(out, "eval_idx50")],
-        log)
-    data = export_idx(tree, ["--n", "1000", "--small-fraction", "0.15", "--seed", "0"],
-                      "digits-1000-seed0", idx, log)
-    run(tree, [*CLI, "train", "--profile", "desk", *data, "--epochs", "2", "--seed", "0",
-               "--out", os.path.join(out, "train_idx")], log)
-    run(tree, [*CLI, "eval", "--model", os.path.join(out, "train_idx", "model.npsc"), *data,
-               "--out", os.path.join(out, "eval_idx")], log)
+def battery(tree: str, table: dict[str, list[str]], out: str, dest: str, log: str) -> None:
+    """Run each entry of `table` in order, into its directory under `dest`."""
+    for name, args in table.items():
+        run(tree, command(args, out, os.path.join(dest, name)), log)
 
 
 def digest(path: str) -> str:
@@ -204,23 +205,21 @@ def check(args: argparse.Namespace, work: str) -> int:
     parent_tree = os.path.join(work, "tree")
     print(f"parent {export(args.parent, parent_tree)}\nchange working tree {ROOT}", flush=True)
     out, shares = os.path.join(work, "out"), os.path.join(work, "workers")
-    battery(parent_tree, out, os.path.join(work, "parent.log"), args.full)
+    table = {**BATTERY, **(FULL if args.full else {})}
+    battery(parent_tree, table, out, out, os.path.join(work, "parent.log"))
     os.rename(out, os.path.join(work, "parent"))
-    battery(ROOT, out, os.path.join(work, "change.log"), args.full)
-    model, log = os.path.join(out, "desk", "train", "model.npsc"), os.path.join(work, "workers.log")
-    analyse(ROOT, {name: [*a, "--workers", "1"] for name, (a, _) in PARALLEL.items()},
-            model, shares, log)
-    os.rename(shares, shares + "1")
-    analyse(ROOT, {name: [*a, "--workers", w] for name, (a, w) in PARALLEL.items()},
-            model, shares, log)
+    battery(ROOT, table, out, out, os.path.join(work, "change.log"))
+    battery(ROOT, PARALLEL, out, shares, os.path.join(work, "workers.log"))
 
     print("== parent against change")
     results = compare(os.path.join(work, "parent"), out, "", args.expect_diff)
-    print("== change, --workers 1 against --workers 2 (3 for sweep_2img), without configs")
+    print("== change, one worker against --workers 2 (3 for sweep_2img), without configs")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if (cpus or 1) < 2:
         print("note: one usable CPU, so every worker count maps serially")
-    results += compare(shares + "1", shares, "workers", args.expect_diff, "*_config.json")
+    for name in PARALLEL:
+        results += compare(os.path.join(out, name), os.path.join(shares, name),
+                           os.path.join("workers", name), args.expect_diff, "*_config.json")
     code = verdict(results, args.expect_diff)
     if code:
         print(f"outputs kept in {work}")

@@ -282,17 +282,20 @@ def _forward_batch(weights, layers, xb, train=False, drop_rng=None, cache=True):
 
     An inference forward (train=False) raises NumericalError when its output
     is not finite: finite weights can still overflow float32, and argmax
-    over inf or NaN logits would score the model as if it had predicted."""
+    over inf or NaN logits would score the model as if it had predicted.
+    numpy's overflow and invalid-value warnings are off in the layer loop,
+    since that check (or, in training, train_sgd's loss check) reports it."""
     if layers and xb.shape[1:] != layers[0].in_shape:
         raise ShapeError(f"input shape {xb.shape[1:]} != {layers[0].name} input {layers[0].in_shape}")
     kept = [] if cache else None
     cur = xb
-    for r in layers:
-        y, aux = _layer_forward(r, weights, cur, train, drop_rng)
-        if kept is not None:
-            held = {"relu": y, "dropout": None}.get(r.spec.kind, cur) if train else cur
-            kept.append((r, held, aux))
-        cur = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in layers:
+            y, aux = _layer_forward(r, weights, cur, train, drop_rng)
+            if kept is not None:
+                held = {"relu": y, "dropout": None}.get(r.spec.kind, cur) if train else cur
+                kept.append((r, held, aux))
+            cur = y
     if not train and not np.isfinite(cur).all():
         raise NumericalError(f"non-finite logits: {int(np.sum(~np.isfinite(cur)))} of "
                              f"{cur.size} values are inf or NaN")
@@ -408,8 +411,9 @@ def train_sgd(weights, spec, dataset, config: TrainConfig):
             idx = perm[start:start + config.batch_size]
             xb = images[idx]
             logits, cache = _forward_batch(w, resolve(spec), xb, train=True, drop_rng=drop_rng)
-            losses, grad_logits = ops.softmax_cross_entropy_batch(logits, labels[idx])
-            loss = float(losses.mean())
+            with np.errstate(over="ignore", invalid="ignore"):  # checked next
+                losses, grad_logits = ops.softmax_cross_entropy_batch(logits, labels[idx])
+                loss = float(losses.mean())
             if not math.isfinite(loss):
                 raise NumericalError(f"non-finite loss {loss} at epoch {_epoch}, sample offset {start}")
             epoch_loss += loss * len(idx)

@@ -165,14 +165,14 @@ def test_train_writes_config_sidecar(tmp_path):
     assert cfg["seed"] == 0  # default filled in
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exploding_training_exits_3(tmp_path):
     code = run("train", "--synthetic", "blobs", "--synthetic-n", "40",
                "--epochs", "4", "--lr", "1e12", "--out", str(tmp_path / "x"))
     assert code == 3
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_training_exits_3_without_writing(tmp_path):
     # train computes before it writes: a loss that goes to NaN leaves no
     # train_config.json (or any other file) behind
@@ -181,7 +181,7 @@ def test_diverging_training_exits_3_without_writing(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_one_batch_divergence_exits_3_without_writing(tmp_path, capsys):
     # one batch per epoch: the loss check sees only the loss from before the
     # update, so the overflowing model is caught when train scores it
@@ -201,7 +201,7 @@ def overflowing_model(tmp_path_factory):
     return model
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, args", [
     ("eval", []), ("replace-sweep", ["--sample", "2"]), ("degrade", ["--sample", "2"]),
     ("correlate", ["--sample", "2"]), ("tilematch", ["--tiles", "2"]), ("cam", []),

@@ -1,12 +1,14 @@
 """The verdict logic of scripts/identity.py, on small directories: which
-files it calls same, DIFF, MISSING or expected, and when it fails. No
-battery is run."""
+files it calls same, DIFF, MISSING or expected, and when it fails; and the
+pairing of its worker reruns with its battery's commands. No battery is run."""
 
 import importlib
 import json
 import os
 
 import pytest
+
+from pathscope import cli
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -73,3 +75,38 @@ def test_stale_declaration_fails(identity, tmp_path, capsys):
     assert "--expect-diff r.csv" not in out
     assert identity.verdict(results, ["r.csv"]) == 0
     assert "identical apart from 1 declared difference(s)" in capsys.readouterr().out
+
+
+def test_worker_reruns_pair_with_battery_entries(identity):
+    # every battery analysis whose command takes --workers is rerun, into the
+    # battery's layout, with the battery's argv apart from --workers, and never
+    # at one worker
+    out, shares = "/out", "/workers"
+    written = {}  # each directory the battery writes -> the argv that writes it
+    for name, args in identity.BATTERY.items():
+        argv = identity.command(args, out, os.path.join(out, name))
+        if argv[0] == "scripts/run_desk_experiments.py":
+            # the script runs each analysis in process, on its train's model
+            model = os.path.join(out, name, "train", "model.npsc")
+            for sub, a in identity.analyses("--quick" in argv).items():
+                dest = os.path.join(out, name, sub)
+                written[dest] = [*identity.CLI, *a, "--model", model, "--out", dest]
+        else:
+            written[os.path.join(out, name)] = argv
+    n = len(identity.CLI)
+    takes_workers = {c for c, command in cli._COMMANDS.items() if "workers" in command.defaults}
+    parallel = {dest: argv for dest, argv in written.items()
+                if argv[:n] == identity.CLI and argv[n] in takes_workers}
+
+    reruns = {}
+    for name, args in identity.PARALLEL.items():
+        argv = identity.command(args, out, os.path.join(shares, name))
+        i = argv.index("--workers")
+        assert int(argv[i + 1]) > 1
+        assert argv[-1] == os.path.join(shares, name)
+        reruns[os.path.join(out, name)] = [*argv[:i], *argv[i + 2:-1], os.path.join(out, name)]
+    assert reruns == parallel
+    assert {"/out/desk/sweep", "/out/mean/tau_mean", "/out/sweep_2img"} <= set(reruns)
+    # one rerun has more workers than images, so a forked share holds one image
+    sweep = identity.PARALLEL["sweep_2img"]
+    assert int(sweep[sweep.index("--workers") + 1]) > int(sweep[sweep.index("--sample") + 1])
