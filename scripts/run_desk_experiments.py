@@ -11,18 +11,8 @@ Roughly 15 minutes on one CPU; --quick cuts sample sizes for a smoke run.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
-
-# What main prints after each analysis command: one report file and the keys
-# to show from it (None: the whole file).
-SHOW = {
-    "eval": ("eval_metrics.json", ("accuracy", "samples")),
-    "replace-sweep": ("sweep.csv", None),
-    "degrade": ("degradation.json", ("variant", "area")),
-    "tilematch": ("tilematch.json", ("variant", "accuracy", "shuffled_control_accuracy")),
-}
 
 
 def analyses(quick: bool) -> dict[str, list[str]]:
@@ -60,14 +50,6 @@ def step(outdir: Path, name: str, args: list[str]) -> Path:
     return sub
 
 
-def show(path: Path, keys: tuple[str, ...] | None) -> None:
-    if keys is None:
-        print(path.read_text().rstrip(), flush=True)
-        return
-    report = json.loads(path.read_text())
-    print("   " + ", ".join(f"{k}={report[k]}" for k in keys if k in report), flush=True)
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--outdir", default="runs/desk", help="directory for all reports")
@@ -83,13 +65,9 @@ def main() -> int:
                                    "800" if args.quick else "8000", "--profile", "desk",
                                    "--seed", str(args.seed)] + epochs)
     model = str(train / "model.npsc")
-    show(train / "train_metrics.json", ("train_acc", "test_acc", "epochs"))
 
     for name, argv in analyses(args.quick).items():
-        sub = step(outdir, name, [*argv, "--model", model])
-        if argv[0] in SHOW:
-            report, keys = SHOW[argv[0]]
-            show(sub / report, keys)
+        step(outdir, name, [*argv, "--model", model])
 
     print(f"all reports under {outdir}/", flush=True)
     return 0

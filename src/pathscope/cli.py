@@ -284,10 +284,7 @@ def cmd_replace_sweep(cfg: dict) -> int:
     out = _outdir(cfg, "replace-sweep")
     reports.write_csv(os.path.join(out, "sweep.csv"), replacement.SWEEP_CSV_HEADER,
                       replacement.sweep_csv_rows(report))
-    reports.write_json(os.path.join(out, "sweep.json"), {
-        "metadata": report.metadata,
-        "rows": [dataclasses.asdict(r) for r in report.rows],
-    })
+    reports.write_json(os.path.join(out, "sweep.json"), report)
     for r in report.rows:
         print(f"{r.layer} {r.kind} acc={r.accuracy:.4f} base={r.baseline_accuracy:.4f}")
     return 0
@@ -316,10 +313,7 @@ def cmd_correlate(cfg: dict) -> int:
                               correlation.TAU_CSV_HEADER, correlation.tau_csv_rows(rep))
     reports.write_csv(os.path.join(out, "tau.csv"), correlation.TAU_CSV_HEADER,
                       correlation.tau_csv_rows(report))
-    reports.write_json(os.path.join(out, "tau.json"), {
-        "metadata": report.metadata,
-        "rows": [dataclasses.asdict(r) for r in report.rows],
-    })
+    reports.write_json(os.path.join(out, "tau.json"), report)
     for r in report.rows:
         print(f"{r.layer} tau_raw={r.tau_raw_mean:.3f} tau_abs={r.tau_abs_mean:.3f}")
     for r in report.rows:

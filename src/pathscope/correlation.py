@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -285,10 +285,8 @@ def aggregate_tau(reports: list[TauReport]) -> TauReport:
     return TauReport(rows, meta)
 
 
-TAU_CSV_HEADER = ["layer", "tau_raw_mean", "tau_raw_std", "tau_abs_mean",
-                  "tau_abs_std", "skipped_images"]
+TAU_CSV_HEADER = [f.name for f in fields(TauRow)]
 
 
 def tau_csv_rows(report: TauReport) -> list[list]:
-    return [[r.layer, r.tau_raw_mean, r.tau_raw_std, r.tau_abs_mean,
-             r.tau_abs_std, r.skipped_images] for r in report.rows]
+    return [list(astuple(r)) for r in report.rows]

@@ -302,17 +302,17 @@ def _forward_batch(weights, layers, xb, train=False, drop_rng=None, cache=True):
     return cur, kept
 
 
-def _backward_batch(weights, cache, g, image_grad=True, weight_grad=True):
+def _backward_batch(weights, cache, g, train):
     """Reverse sweep over a _forward_batch cache for upstream grad `g`,
     releasing each entry once its layer's gradient is taken, so the cache
     ends empty; returns (grad wrt the first cached input, parameter gradients
-    summed over the batch). With image_grad=False a leading conv layer skips
-    its input gradient, and the first element is None; with weight_grad=False
-    no fc layer computes its weight gradient."""
+    summed over the batch). A training step (train=True) needs no image
+    gradient, so a leading conv layer skips it and the first element is None;
+    otherwise no fc layer computes its weight gradient."""
     grads: dict[str, np.ndarray] = {}
     while cache:
         r, x_in, aux = cache.pop()
-        g, gw = _layer_backward(r, weights, x_in, aux, g, image_grad or bool(cache), weight_grad)
+        g, gw = _layer_backward(r, weights, x_in, aux, g, not train or bool(cache), train)
         if gw is not None:
             grads[r.name] = gw
     return g, grads
@@ -361,7 +361,7 @@ def gradient_wrt_layer(
     cache = [(r, trace.pre_activation(r.name)[None],
               trace.routings[r.name][None] if r.name in trace.routings else None)
              for r in resolved[stop + 1:]]
-    g, _ = _backward_batch(weights, cache, g, weight_grad=False)
+    g, _ = _backward_batch(weights, cache, g, train=False)
     return g[0]
 
 
@@ -417,8 +417,7 @@ def train_sgd(weights, spec, dataset, config: TrainConfig):
             if not math.isfinite(loss):
                 raise NumericalError(f"non-finite loss {loss} at epoch {_epoch}, sample offset {start}")
             epoch_loss += loss * len(idx)
-            _, grads = _backward_batch(w, cache, grad_logits / np.float32(len(idx)),
-                                       image_grad=False)
+            _, grads = _backward_batch(w, cache, grad_logits / np.float32(len(idx)), train=True)
             for name, gw in grads.items():
                 w[name] -= np.float32(lr) * gw
         history.append(epoch_loss / n)

@@ -3,6 +3,7 @@ decimals), JSON sidecars with sorted keys, and 8-bit PGM for saliency maps."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -34,25 +35,20 @@ def write_csv(path, header: list[str], rows: list) -> None:
         f.write(csv_text(header, rows))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+def _encode(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    return obj
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path, obj) -> None:
+    """Pretty JSON with sorted keys and a final newline. Beyond json's own
+    types, `obj` may hold numpy arrays and scalars, written as their Python
+    values, and dataclass instances, written as their fields."""
     with open(path, "w", newline="\n") as f:
-        json.dump(_jsonable(obj), f, sort_keys=True, indent=2)
+        json.dump(obj, f, sort_keys=True, indent=2, default=_encode)
         f.write("\n")
 
 

@@ -388,7 +388,7 @@ def test_training_cache_holds_no_pre_activation_and_backward_empties_it():
     # each ReLU's entry is its output, the array the next layer reads
     relus = [i for i, (r, _, _) in enumerate(cache) if r.spec.kind == "relu"]
     assert relus and all(cache[i][1] is cache[i + 1][1] for i in relus)
-    model._backward_batch(weights, cache, np.ones_like(logits), image_grad=False)
+    model._backward_batch(weights, cache, np.ones_like(logits), train=True)
     assert cache == []
 
 
@@ -402,7 +402,7 @@ def test_training_dropout_entry_holds_only_its_mask():
                                    drop_rng=np.random.default_rng(0))
     (r, held, mask), = [e for e in cache if e[0].spec.kind == "dropout"]
     assert held is None and mask.shape == (8, *r.in_shape)
-    model._backward_batch(weights, cache, np.ones_like(logits), image_grad=False)
+    model._backward_batch(weights, cache, np.ones_like(logits), train=True)
     assert cache == []
 
 
