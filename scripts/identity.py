@@ -19,7 +19,8 @@ of its bytes. The battery, in the order of BATTERY:
 - on that model, a 2-image replace-sweep and one digit's path counts in both
   clip modes (the only reports that write raw path counts);
 - the reference train (150 digits x 1 epoch: batches of 64, 64 and 22), and
-  on that 32-channel model the same path counts, a tau (4 digits) and an eval;
+  on that 32-channel model the same path counts, a 2-image replace-sweep, a
+  2-composite tilematch of the pathcount CAM, a tau (4 digits) and an eval;
 - 50 digits exported by `scripts/export_synthetic_idx.py` with its defaults,
   which are the digit generator's, and an eval of the quick model on them;
 - the benchmark's train path: 1000 digits exported with the training tail of
@@ -85,6 +86,10 @@ BATTERY = {
     "train_reference": ["train", "--profile", "reference", "--synthetic", "--synthetic-n", "150",
                         "--epochs", "1", "--seed", "0"],
     "pathcount_reference": [*PATHCOUNT, "--model", REFERENCE],
+    "sweep_reference": ["replace-sweep", "--synthetic", "--synthetic-n", "20", "--sample", "2",
+                        "--seed", "1", "--model", REFERENCE],
+    "tilematch_reference": ["tilematch", "--synthetic", "--synthetic-n", "20", "--tiles", "2",
+                            "--variant", "pathcount", "--seed", "1", "--model", REFERENCE],
     "tau_reference": ["correlate", "--synthetic", "--synthetic-n", "8", "--sample", "4",
                       "--model", REFERENCE],
     "eval_reference": ["eval", "--synthetic", "--synthetic-n", "64", "--model", REFERENCE],

@@ -54,6 +54,7 @@ from .model import (
     flatten,
     forward,
     forward_from_layer,
+    gemm_operands,
     gradient_wrt_layer,
     layer_names,
     load_model,
@@ -67,10 +68,12 @@ from .model import (
 from .pathcount import (
     ClipConfig,
     PathCountMap,
+    PathCountPlan,
     clip_fc_weights,
     extract_onoff,
     pathcount_bruteforce,
     pathcount_forward,
+    pathcount_plan,
 )
 from .replacement import (
     REPLACEMENT_KINDS,

@@ -18,9 +18,17 @@ import numpy as np
 
 from .data import Dataset, mean_pixel
 from .errors import ArgumentError
-from .model import ForwardTrace, ModelSpec, check_dataset, forward, gradient_wrt_layer, resolve
+from .model import (
+    ForwardTrace,
+    ModelSpec,
+    check_dataset,
+    forward,
+    gemm_operands,
+    gradient_wrt_layer,
+    resolve,
+)
 from .parallel import pmap
-from .pathcount import ClipConfig, pathcount_forward
+from .pathcount import ClipConfig, PathCountPlan, pathcount_forward, pathcount_plan
 
 CAM_VARIANTS = ("act", "onoff", "pathcount")
 STUB_VARIANTS = ("uniform", "random")
@@ -64,13 +72,15 @@ def _normalize(sal: np.ndarray) -> np.ndarray:
 
 def saliency_map(weights, spec, trace: ForwardTrace, target_class: int, variant: str,
                  clip: ClipConfig = ClipConfig(),
-                 rng: np.random.Generator | None = None) -> np.ndarray:
+                 rng: np.random.Generator | None = None, *,
+                 plan: PathCountPlan | None = None) -> np.ndarray:
     """Saliency map [H,W] of the input `trace` was taken on.
 
     CAM variants: relu of the gradient-weighted feature terms at the last conv
     ReLU, bilinearly upsampled and max-normalized to [0,1]. Stubs: "uniform"
     (constant map, all ties) and "random" (noise drawn from `rng`, the
-    uninformative baseline).
+    uninformative baseline). The "pathcount" variant counts with `plan`, the
+    weights' pathcount_plan, or builds one when it is not given.
     """
     if variant == "uniform":
         return np.ones(spec.input_shape[1:], dtype=np.float64)
@@ -85,7 +95,7 @@ def saliency_map(weights, spec, trace: ForwardTrace, target_class: int, variant:
     elif variant == "onoff":
         terms = (feats > 0).astype(np.float64)
     elif variant == "pathcount":
-        terms = pathcount_forward(weights, spec, trace, clip).layer(layer)
+        terms = pathcount_forward(weights, spec, trace, clip, plan).layer(layer)
     else:
         raise ArgumentError(
             f"unknown variant {variant!r}; choose from {CAM_VARIANTS + STUB_VARIANTS}")
@@ -117,13 +127,20 @@ def perturb(x: np.ndarray, saliency: np.ndarray, fraction: float, order: str,
     return out
 
 
-def _degrade_one(item, *, weights, spec, variant, fractions, clip, fill, seed):
-    """Per-image worker: correctness under each (order, fraction)."""
+def _plan_for(weights, spec, variant, clip) -> PathCountPlan | None:
+    """The pathcount_plan of the stored weights when `variant` counts paths:
+    the workers run on float64 operands, which must not make the plan."""
+    return pathcount_plan(weights, spec, clip) if variant == "pathcount" else None
+
+
+def _degrade_one(item, *, weights, spec, variant, fractions, fill, seed, plan):
+    """Per-image worker: correctness under each (order, fraction). `plan` is
+    the weights' pathcount_plan for the "pathcount" variant, else None."""
     i, x, label = item
     trace = forward(weights, spec, x)
     target = int(np.argmax(trace.logits))
     rng = np.random.default_rng((seed, i)) if variant == "random" else None
-    sal = saliency_map(weights, spec, trace, target, variant, clip, rng)
+    sal = saliency_map(weights, spec, trace, target, variant, rng=rng, plan=plan)
     correct = np.zeros((2, len(fractions)), dtype=np.float64)
     for oi, order in enumerate(("morf", "lerf")):
         for fi, f in enumerate(fractions):
@@ -150,9 +167,10 @@ def degradation_score(
         raise ArgumentError(f"need at least 2 perturbation steps, got {steps}")
     check_dataset(dataset, spec, "degrade")
     fractions = np.linspace(0.0, 1.0, steps + 1)
-    worker = functools.partial(_degrade_one, weights=weights, spec=spec, variant=variant,
-                               fractions=fractions, clip=clip, fill=mean_pixel(dataset),
-                               seed=seed)
+    worker = functools.partial(_degrade_one, weights=gemm_operands(weights), spec=spec,
+                               variant=variant, fractions=fractions,
+                               fill=mean_pixel(dataset), seed=seed,
+                               plan=_plan_for(weights, spec, variant, clip))
     items = [(i, dataset.images[i], int(dataset.labels[i])) for i in range(len(dataset))]
     results = pmap(worker, items, workers=workers)
     acc = np.zeros((2, len(fractions)))
@@ -215,17 +233,19 @@ def _tile_means(sal: np.ndarray, tile_hw: tuple[int, int]) -> np.ndarray:
                      for r in (0, 1) for c in (0, 1)])
 
 
-def _tilematch_one(item, *, weights, spec, variant, clip):
+def _tilematch_one(item, *, weights, spec, variant, plan):
     """Per-composite worker: for each constituent label as CAM target, the
     tile with maximal mean saliency, or -1 on a tie. Random saliency is
     seeded by (composite index, tile), so each composite gets its own noise
-    and every pass over the same composites scores the same maps."""
+    and every pass over the same composites scores the same maps. `plan` is
+    as in `_degrade_one`."""
     i, sample = item
     trace = forward(weights, spec, sample.image)
     inferred = []
     for t in range(4):
         rng = np.random.default_rng((i, t)) if variant == "random" else None
-        sal = saliency_map(weights, spec, trace, sample.labels[t], variant, clip, rng)
+        sal = saliency_map(weights, spec, trace, sample.labels[t], variant, rng=rng,
+                           plan=plan)
         means = _tile_means(sal, sample.tile_hw)
         best = float(means.max())
         winners = np.nonzero(means == best)[0]
@@ -248,8 +268,8 @@ def target_matching_accuracy(
     the chance-level control."""
     if not tiled:
         raise ArgumentError("no tiled samples given")
-    worker = functools.partial(_tilematch_one, weights=weights, spec=spec,
-                               variant=variant, clip=clip)
+    worker = functools.partial(_tilematch_one, weights=gemm_operands(weights), spec=spec,
+                               variant=variant, plan=_plan_for(weights, spec, variant, clip))
     results = pmap(worker, list(enumerate(tiled)), workers=workers)
     shuffle_rng = (np.random.default_rng(target_shuffle_seed)
                    if target_shuffle_seed is not None else None)

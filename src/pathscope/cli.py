@@ -262,12 +262,11 @@ def cmd_pathcount(cfg: dict) -> int:
     trace = forward(weights, spec, x)
     counts = pathcount_forward(weights, spec, trace, _clip(cfg))
     out = _outdir(cfg, "pathcount")
-    rows = []
-    for layer in layers:
-        flat = counts.layer(layer).reshape(-1)
-        rows += [[layer, i, flat[i]] for i in range(flat.size)]
-    reports.write_csv(os.path.join(out, "pathcount.csv"),
-                      ["layer", "neuron_index", "count"], rows)
+    flat = [counts.layer(layer).reshape(-1) for layer in layers]
+    reports.write_csv(os.path.join(out, "pathcount.csv"), ["layer", "neuron_index", "count"],
+                      columns=[np.repeat(layers, [f.size for f in flat]),
+                               np.concatenate([np.arange(f.size) for f in flat]),
+                               np.concatenate(flat)])
     reports.write_json(os.path.join(out, "pathcount.json"), {
         "exact": counts.exact, "sample": cfg["sample"],
         "layers": {layer: counts.layer(layer).reshape(-1) for layer in layers},

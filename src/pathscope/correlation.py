@@ -46,9 +46,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ArgumentError, NumericalError, UndefinedCorrelationError
-from .model import ModelSpec, forward, model_digest, resolve
+from .model import ModelSpec, forward, gemm_operands, model_digest, resolve
 from .parallel import pmap
-from .pathcount import ClipConfig, pathcount_forward
+from .pathcount import ClipConfig, pathcount_forward, pathcount_plan
 
 
 def _tied_pairs(change: np.ndarray) -> int:
@@ -210,11 +210,12 @@ def correlated_layers(spec: ModelSpec) -> list[str]:
     return [r.name for r in resolve(spec) if r.spec.kind in ("conv", "relu", "fc")]
 
 
-def _tau_one(x, *, weights, spec, layers, clip):
+def _tau_one(x, *, weights, spec, layers, plan):
     """Per-image worker: (tau_raw, tau_abs) per layer, or None where the
-    correlation is undefined (all-ties on either side)."""
+    correlation is undefined (all-ties on either side). `plan` is the
+    weights' pathcount_plan."""
     trace = forward(weights, spec, x)
-    counts = pathcount_forward(weights, spec, trace, clip)
+    counts = pathcount_forward(weights, spec, trace, plan=plan)
     out = {}
     for layer in layers:
         rep = trace.output(layer).reshape(-1).astype(np.float64)
@@ -241,7 +242,8 @@ def layerwise_tau(
     if len(sample) == 0:
         raise ArgumentError("cannot correlate on an empty sample")
     layers = correlated_layers(spec)
-    worker = functools.partial(_tau_one, weights=weights, spec=spec, layers=layers, clip=clip)
+    worker = functools.partial(_tau_one, weights=gemm_operands(weights), spec=spec,
+                               layers=layers, plan=pathcount_plan(weights, spec, clip))
     results = pmap(worker, list(sample.images), workers=workers)
     rows = []
     for layer in layers:

@@ -365,6 +365,15 @@ def gradient_wrt_layer(
     return g[0]
 
 
+def gemm_operands(weights: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Float64 copies of the weights: the dtype every conv and fc matmul in
+    `ops` computes in, so given these the ops cast nothing. An analysis builds
+    them once and runs its per-image passes on them; every result is bit for
+    bit that of the float32 weights. Digests and path-count plans read the
+    stored float32 weights."""
+    return {name: w.astype(np.float64) for name, w in weights.items()}
+
+
 # --- training and batched prediction ---
 
 def check_dataset(dataset, spec: ModelSpec, task: str) -> None:

@@ -12,7 +12,24 @@ the traced on/off pattern) and max-pool (routed by the traced argmax) read
 the trace. `pathcount_bruteforce` enumerates complete paths one by one (no
 memoization) and exists to cross-check the forward recurrence.
 
-Counts are float64: integer-exact below 2**53, with an exactness flag beyond.
+The weight-only part is a `PathCountPlan`, which an analysis builds once and
+shares across its images: each conv and fc layer's binary mask, or a mark
+that every weight survives ("dense"), and the counts of the layers before
+the first ReLU or pool, which read no trace. A dense layer takes a closed
+form in place of a matmul against its mask. A dense conv layer's counts are,
+in every output channel, the k x k box sum at the layer's stride and padding
+of the channel sum of its input counts. A dense fc layer gives every output
+the one sum of its inputs. A trained float32 weight is practically never
+exactly 0, so in practice every conv mask is dense, and so is the fc mask
+in the default absolute clip of 0.
+
+Counts are float64, integer-exact below 2**53; `exact` says whether every
+count is at most 2**53. Counts are nonnegative integers, so every partial
+sum of a conv or fc output is at most that output. While `exact` holds, any
+summation order therefore gives the same float64, and the closed forms give
+the bytes of the matmuls. Past 2**53 the bytes may differ. There a dense fc
+layer's counts are exactly tied, where each output of a matmul would round
+its own sum.
 """
 
 from __future__ import annotations
@@ -70,34 +87,112 @@ def clip_fc_weights(weights: np.ndarray, clip: ClipConfig) -> np.ndarray:
     return (np.abs(weights) > tau).astype(np.float64)
 
 
+@dataclass(frozen=True)
+class PathCountPlan:
+    """The part of path counting that reads only the weights, built once for
+    one (weights, spec, clip) and shared by every trace counted with them.
+
+    `masks` maps each conv and fc layer to its float64 binary mask, or to None
+    when every weight survives ("dense"). `leading` holds the read-only counts
+    of the layers before the first ReLU or pool, which read no trace, and
+    `exact` says whether they are exact."""
+
+    masks: dict[str, np.ndarray | None]
+    leading: dict[str, np.ndarray]
+    exact: bool
+
+
+def pathcount_plan(
+    weights: dict[str, np.ndarray], spec: ModelSpec, clip: ClipConfig = ClipConfig()
+) -> PathCountPlan:
+    """The weight-only part of `pathcount_forward`. Build it from the stored
+    float32 weights: the mean clip's threshold is their float32 mean."""
+    resolved = resolve(spec)
+    masks = _masks(weights, resolved, clip)
+    n = next((i for i, r in enumerate(resolved) if r.spec.kind in ("relu", "maxpool")),
+             len(resolved))
+    leading: dict[str, np.ndarray] = {}
+    exact = _propagate(resolved[:n], masks, np.ones((1, *spec.input_shape)), None, leading)
+    for c in leading.values():
+        c.flags.writeable = False
+    return PathCountPlan(masks, leading, exact)
+
+
+def _masks(weights, resolved, clip: ClipConfig) -> dict[str, np.ndarray | None]:
+    """Each conv and fc layer's float64 binary mask, or None where it is dense."""
+    binary = {r.name: clip_fc_weights(weights[r.name], clip) if r.spec.kind == "fc"
+              else (np.abs(weights[r.name]) > 0).astype(np.float64)
+              for r in resolved if r.spec.kind in ("conv", "fc")}
+    return {name: None if m.all() else m for name, m in binary.items()}
+
+
 def pathcount_forward(
     weights: dict[str, np.ndarray],
     spec: ModelSpec,
     trace: ForwardTrace,
     clip: ClipConfig = ClipConfig(),
+    plan: PathCountPlan | None = None,
 ) -> PathCountMap:
     """All-ones propagation: every input element contributes one path.
 
     Conv/fc layers sum counts over surviving weights (padding contributes
     nothing; dropout and flatten are identity); ReLU layers zero the counts
-    of off neurons; pools forward the argmax winner's count.
-    """
+    of off neurons; pools forward the argmax winner's count. `plan` is
+    `pathcount_plan(weights, spec, clip)`, and then `weights` and `clip` are
+    not read and the counts of its leading layers are returned as the plan's
+    own read-only arrays. Without a plan only the masks are built, and every
+    layer is counted afresh."""
     resolved = resolve(spec)
-    binary = {r.name: clip_fc_weights(weights[r.name], clip) if r.spec.kind == "fc"
-              else (np.abs(weights[r.name]) > 0).astype(np.float64)
-              for r in resolved if r.name in weights}
-    counts: dict[str, np.ndarray] = {}
-    cur = np.ones((1, *spec.input_shape), dtype=np.float64)
-    for r in resolved:
-        if r.spec.kind == "relu":
+    if plan is None:
+        plan = PathCountPlan(_masks(weights, resolved, clip), {}, True)
+    counts = dict(plan.leading)
+    n = len(counts)
+    cur = counts[resolved[n - 1].name][None] if n else np.ones((1, *spec.input_shape))
+    exact = _propagate(resolved[n:], plan.masks, cur, trace, counts)
+    return PathCountMap(counts, exact and plan.exact)
+
+
+def _propagate(layers, masks, cur, trace, counts: dict) -> bool:
+    """Carry the batch-of-one counts `cur` through `layers`, storing each
+    layer's counts in `counts`; return whether every conv and fc count is at
+    most 2**53. ReLU gating and pool routing never raise a count, and dropout
+    and flatten copy them, so no other layer is checked."""
+    exact = True
+    for r in layers:
+        kind = r.spec.kind
+        if kind == "relu":
             cur = cur * (trace.outputs[r.name] > 0)
-        elif r.spec.kind == "maxpool":
+        elif kind == "maxpool":
             cur = np.take(cur.reshape(-1), trace.routings[r.name])[None]
+        elif kind == "conv" and masks[r.name] is None:
+            cur = _dense_conv(r, cur)
+        elif kind == "fc" and masks[r.name] is None:
+            cur = np.full((1, *r.out_shape), cur.sum())
         else:
-            cur, _ = _layer_forward(r, binary, cur)
+            cur, _ = _layer_forward(r, masks, cur)
+        if kind in ("conv", "fc"):
+            exact = exact and float(cur.max(initial=0.0)) <= _EXACT_LIMIT
         counts[r.name] = cur[0]
-    exact = all(float(c.max(initial=0.0)) <= _EXACT_LIMIT for c in counts.values())
-    return PathCountMap(counts, exact)
+    return exact
+
+
+def _dense_conv(r, cur: np.ndarray) -> np.ndarray:
+    """Counts of a conv layer whose mask is all ones: in every output channel,
+    the k x k box sum at the layer's stride and padding of the channel sum of
+    the input counts, taken as a row pass and then a column pass."""
+    (_, h, w), (c_out, oh, ow) = r.in_shape, r.out_shape
+    k, s, p = r.spec.kernel, r.spec.stride, r.spec.padding
+    plane = np.zeros((h + 2 * p, w + 2 * p))
+    plane[p:p + h, p:p + w] = cur[0].sum(axis=0)
+    rows = plane[:, :s * (ow - 1) + 1:s]
+    for i in range(1, k):
+        rows = rows + plane[:, i:i + s * (ow - 1) + 1:s]
+    box = rows[:s * (oh - 1) + 1:s]
+    for i in range(1, k):
+        box = box + rows[i:i + s * (oh - 1) + 1:s]
+    out = np.empty((1, c_out, oh, ow))
+    out[...] = box
+    return out
 
 
 _PATH_LIMIT = 10_000_000

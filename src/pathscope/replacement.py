@@ -22,13 +22,14 @@ from .model import (
     check_dataset,
     forward,
     forward_from_layer,
+    gemm_operands,
     layer_index,
     layer_names,
     model_digest,
     resolve,
 )
 from .parallel import pmap
-from .pathcount import ClipConfig, PathCountMap, pathcount_forward
+from .pathcount import ClipConfig, PathCountMap, pathcount_forward, pathcount_plan
 
 
 def _rescale(activation: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -134,13 +135,13 @@ class SweepReport:
         raise ArgumentError(f"no sweep row for ({layer}, {kind})")
 
 
-def _sweep_one(x, *, weights, spec, layers, kinds, clip):
+def _sweep_one(x, *, weights, spec, layers, kinds, plan):
     """Per-image worker: baseline prediction, per-(layer, kind) prediction,
-    per-layer on-ratio."""
+    per-layer on-ratio. `plan` is the weights' pathcount_plan, or None when
+    no kind reads path counts."""
     trace = forward(weights, spec, x)
     base_pred = int(np.argmax(trace.logits))
-    needs_counts = any(_KINDS[k].needs_counts for k in kinds)
-    counts = pathcount_forward(weights, spec, trace, clip) if needs_counts else None
+    counts = pathcount_forward(weights, spec, trace, plan=plan) if plan is not None else None
     preds = {}
     for layer in layers:
         for kind in kinds:
@@ -171,8 +172,10 @@ def sweep(
     layers = replaceable_layers(spec)
     if not layers:
         raise ArgumentError("model has no ReLU layer to replace")
+    needs_counts = any(_KINDS[k].needs_counts for k in kinds)
     worker = functools.partial(
-        _sweep_one, weights=weights, spec=spec, layers=layers, kinds=kinds, clip=clip
+        _sweep_one, weights=gemm_operands(weights), spec=spec, layers=layers, kinds=kinds,
+        plan=pathcount_plan(weights, spec, clip) if needs_counts else None
     )
     results = pmap(worker, list(dataset.images), workers=workers)
     n = len(dataset)

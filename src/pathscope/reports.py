@@ -11,28 +11,59 @@ import numpy as np
 from .errors import ArgumentError
 
 
-def format_value(v) -> str:
+def _bool_text(v) -> str:
+    return "true" if v else "false"
+
+
+def _int_text(v) -> str:
+    return str(int(v))
+
+
+def _float_text(v) -> str:
+    return "%.12g" % float(v)
+
+
+def _formatter(v):
+    """The function that writes values of v's type."""
     if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
+        return _bool_text
     if isinstance(v, (int, np.integer)):
-        return str(int(v))
+        return _int_text
     if isinstance(v, (float, np.floating)):
-        return "%.12g" % float(v)
-    return str(v)
+        return _float_text
+    return str
 
 
-def csv_text(header: list[str], rows: list) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        if len(row) != len(header):
-            raise ArgumentError(f"row {row!r} does not match header {header}")
-        lines.append(",".join(format_value(v) for v in row))
+def format_value(v) -> str:
+    return _formatter(v)(v)
+
+
+def _column_text(column) -> list[str]:
+    """Each value's format_value. A numpy array of bools, integers, floats or
+    strings takes its dtype's formatter, picked once; any other column
+    formats each value by its own type."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biufU":
+        return list(map(_formatter(column.dtype.type()), column.tolist()))
+    return [format_value(v) for v in column]
+
+
+def csv_text(header: list[str], rows: list = (), *, columns: list | None = None) -> str:
+    """The table given as `rows`, or as `columns`, one sequence per header name."""
+    if columns is None:
+        for row in rows:
+            if len(row) != len(header):
+                raise ArgumentError(f"row {row!r} does not match header {header}")
+        columns = list(zip(*rows)) or [()] * len(header)
+    elif len(columns) != len(header) or len({len(c) for c in columns}) > 1:
+        raise ArgumentError(f"columns of lengths {[len(c) for c in columns]} do not match "
+                            f"header {header}")
+    lines = [",".join(header), *map(",".join, zip(*map(_column_text, columns)))]
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path, header: list[str], rows: list) -> None:
+def write_csv(path, header: list[str], rows: list = (), *, columns: list | None = None) -> None:
     with open(path, "w", newline="\n") as f:
-        f.write(csv_text(header, rows))
+        f.write(csv_text(header, rows, columns=columns))
 
 
 def _encode(obj):

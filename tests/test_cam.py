@@ -11,7 +11,6 @@ import pytest
 import pathscope.cam as cam_mod
 from pathscope import (
     ArgumentError,
-    ClipConfig,
     Dataset,
     ModelSpec,
     bilinear_resize,
@@ -355,7 +354,8 @@ def test_perfect_localizer_scores_one(conv_net, monkeypatch):
     tiles = make_tiled(ds, 8, seed=2)
     control_tiles = make_tiled(ds, 120, seed=5)
 
-    def oracle_cam(weights, spec, trace, target_class, variant, clip, rng):
+    def oracle_cam(weights, spec, trace, target_class, variant, clip=None, rng=None, *,
+                   plan=None):
         sample = next(s for s in tiles + control_tiles
                       if np.array_equal(s.image, trace.input))
         t = sample.labels.index(target_class)
@@ -374,7 +374,7 @@ def test_perfect_localizer_scores_one(conv_net, monkeypatch):
 
 def random_stub_choices(weights, spec, tiles):
     return [tuple(cam_mod._tilematch_one((i, s), weights=weights, spec=spec,
-                                         variant="random", clip=ClipConfig()))
+                                         variant="random", plan=None))
             for i, s in enumerate(tiles)]
 
 

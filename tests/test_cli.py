@@ -25,6 +25,7 @@ from pathscope import (
     save_model,
     write_idx,
 )
+from pathscope import reports
 from pathscope.cli import _merge_config, build_parser, main
 from pathscope.model import build_model, desk_spec, reference_spec
 
@@ -386,6 +387,23 @@ def test_pathcount_all_layers_by_default(fc_fixture, tmp_path):
     assert layers == ["flatten1"] * 2 + ["fc1"] * 2 + ["fc1.relu"] * 2 + ["fc2"] * 2
 
 
+def test_csv_columns_give_the_text_of_their_rows():
+    # pathcount.csv is written as columns: each numpy column's formatter is
+    # picked once from its dtype, and must give every cell's format_value
+    columns = [np.array(["conv1.conv", "fc1", "fc1"]), np.arange(3),
+               np.array([1 / 3, 3830753763468.0, np.nan]),
+               np.array([0.5, -0.0, np.inf], dtype=np.float32),
+               np.array([True, False, True]), np.array([7, 0, 255], dtype=np.uint8),
+               ["x", 2, 0.25]]
+    header = [f"c{i}" for i in range(len(columns))]
+    rows = [list(row) for row in zip(*columns)]
+    assert reports.csv_text(header, columns=columns) == reports.csv_text(header, rows)
+    assert reports.csv_text(header, columns=columns).splitlines()[1] == \
+        "conv1.conv,0,0.333333333333,0.5,true,7,x"
+    with pytest.raises(pathscope.ArgumentError, match="do not match header"):
+        reports.csv_text(header, columns=[c[:2] for c in columns[:-1]] + [columns[-1]])
+
+
 def test_pathcount_unknown_layer_exits_2(fc_fixture, tmp_path, capsys):
     model, images, labels = fc_fixture
     assert run("pathcount", "--model", model, "--data-images", images,
@@ -420,6 +438,18 @@ def test_sweep_rows_and_identity_baseline(conv_fixture, tmp_path):
     for layer, kind, acc, base, _ in rows:
         if kind == "identity":
             assert acc == base
+
+
+@pytest.mark.parametrize("command, report", [("replace-sweep", "sweep.json"),
+                                             ("correlate", "tau.json")])
+def test_reports_record_the_digest_of_the_stored_weights(desk_fixture, tmp_path, command,
+                                                         report):
+    # the analyses run on float64 copies of the weights; the digest is the file's
+    assert run(command, "--model", desk_fixture, "--synthetic", "--synthetic-n", "10",
+               "--sample", "2", "--out", str(tmp_path)) == 0
+    spec, weights = pathscope.load_model(desk_fixture)
+    metadata = json.loads((tmp_path / report).read_text())["metadata"]
+    assert metadata["model_sha256"] == pathscope.model_digest(weights, spec)
 
 
 def test_sweep_worker_count_does_not_change_bytes(conv_fixture, tmp_path):

@@ -595,3 +595,27 @@ def test_gradient_wrt_layer_asks_no_fc_weight_gradient(monkeypatch):
     ds = ps.synthetic_blobs(4, classes=3, image_hw=4, seed=0)
     ps.train_sgd(weights, spec, ds, ps.TrainConfig(0.05, 1, 4, 0))
     assert asked == [False, False, True, True]
+
+
+@pytest.mark.parametrize("profile", [desk_spec, model.reference_spec])
+def test_float64_gemm_operands_give_the_float32_results_bitwise(profile):
+    spec = profile()
+    weights = ps.build_model(spec, 3)
+    wide = ps.gemm_operands(weights)
+    assert all(w.dtype == np.float64 for w in wide.values())
+    for x in ps.synthetic_digits(2, seed=4).images:
+        trace = ps.forward(weights, spec, x)
+        wide_trace = ps.forward(wide, spec, x)
+        for name in trace.names:
+            assert wide_trace.outputs[name].tobytes() == trace.outputs[name].tobytes()
+            assert wide_trace.outputs[name].dtype == trace.outputs[name].dtype
+            resumed = ps.forward_from_layer(weights, spec, name, trace.outputs[name])
+            assert ps.forward_from_layer(wide, spec, name, trace.outputs[name]).tobytes() \
+                == resumed.tobytes()
+        for name, routing in trace.routings.items():
+            assert np.array_equal(wide_trace.routings[name], routing)
+        target = int(np.argmax(trace.logits))
+        for name in trace.names[:-1]:
+            grad = ps.gradient_wrt_layer(weights, spec, trace, name, target)
+            wide_grad = ps.gradient_wrt_layer(wide, spec, trace, name, target)
+            assert wide_grad.dtype == grad.dtype and wide_grad.tobytes() == grad.tobytes()

@@ -27,9 +27,10 @@ from pathscope import (
     maxpool,
     pathcount_bruteforce,
     pathcount_forward,
+    pathcount_plan,
     relu,
 )
-from pathscope.model import build_model, dropout, resolve
+from pathscope.model import _layer_forward, build_model, dropout, resolve
 
 
 def tiny_fc_spec():
@@ -405,3 +406,108 @@ def test_fc_oracle_equivalence_property(seed):
     for i in range(2):
         slow = pathcount_bruteforce(weights, spec, trace, clip, ("fc2", i))
         assert fast.layer("fc2")[i] == float(slow)
+
+
+
+# ---------------------------------------------------------------------------
+# the plan: dense layers in closed form, against an all-GEMM oracle
+# ---------------------------------------------------------------------------
+
+
+def gemm_counts(weights, spec, trace, clip):
+    """Every conv and fc layer through the model's own layer step on its
+    float64 binary mask, dense or not."""
+    masks = {r.name: clip_fc_weights(weights[r.name], clip) if r.spec.kind == "fc"
+             else (np.abs(weights[r.name]) > 0).astype(np.float64)
+             for r in resolve(spec) if r.spec.kind in ("conv", "fc")}
+    cur = np.ones((1, *spec.input_shape))
+    out = {}
+    for r in resolve(spec):
+        if r.spec.kind == "relu":
+            cur = cur * (trace.outputs[r.name] > 0)
+        elif r.spec.kind == "maxpool":
+            cur = np.take(cur.reshape(-1), trace.routings[r.name])[None]
+        else:
+            cur, _ = _layer_forward(r, masks, cur)
+        out[r.name] = cur[0]
+    return out
+
+
+@st.composite
+def architectures(draw):
+    """A valid random stack: conv blocks of kernel 1-5, stride 1-3 and
+    padding 0-2, each maybe followed by a pool that may overlap, and maybe
+    an fc-ReLU head."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(3, 9)), draw(st.integers(3, 9)))
+    _, h, w = shape
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(st.integers(0, 2))
+        k = draw(st.integers(1, min(5, h + 2 * p, w + 2 * p)))
+        s = draw(st.integers(1, 3))
+        layers += [conv(draw(st.integers(1, 4)), kernel=k, stride=s, padding=p), relu()]
+        h, w = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        if draw(st.booleans()):
+            window, stride = draw(st.integers(1, min(3, h, w))), draw(st.integers(1, 3))
+            layers.append(maxpool(window, stride))
+            h, w = (h - window) // stride + 1, (w - window) // stride + 1
+    layers.append(flatten())
+    if draw(st.booleans()):
+        layers += [fc(draw(st.integers(1, 6))), relu()]
+    return ModelSpec(shape, 2, (*layers, fc(2)))
+
+
+@given(architectures(), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from([ClipConfig(), ClipConfig("absolute", 0.3), ClipConfig("mean")]))
+@settings(max_examples=80, deadline=None)
+def test_plan_counts_equal_all_gemm_counts_bytewise(spec, seed, zero_tap, clip):
+    weights = build_model(spec, seed=seed % 1000)
+    if zero_tap:  # one conv kernel tap gone: that layer's mask is not dense
+        rng = np.random.default_rng(seed)
+        name = f"conv{rng.integers(1, sum(l.kind == 'conv' for l in spec.layers) + 1)}.conv"
+        weights[name][tuple(rng.integers(0, d) for d in weights[name].shape)] = 0.0
+    rng = np.random.default_rng(seed)
+    plan = pathcount_plan(weights, spec, clip)
+    for _ in range(2):  # one plan serves every trace
+        trace = forward(weights, spec, rng.normal(size=spec.input_shape).astype(np.float32))
+        counts = pathcount_forward(weights, spec, trace, clip, plan)
+        assert counts.exact
+        oracle = gemm_counts(weights, spec, trace, clip)
+        assert counts.layers.keys() == oracle.keys()
+        for name, expected in oracle.items():
+            got = counts.layer(name)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.flags.c_contiguous
+            assert got.tobytes() == expected.tobytes(), name
+
+
+def test_plan_marks_dense_layers_and_keeps_the_leading_counts_read_only():
+    spec = ModelSpec((1, 5, 5), 2, (conv(2), relu(), flatten(), fc(3), relu(), fc(2)))
+    weights = build_model(spec, seed=0)
+    weights["fc2"][0, 0] = 0.0
+    plan = pathcount_plan(weights, spec)
+    assert plan.masks["conv1.conv"] is None and plan.masks["fc1"] is None
+    np.testing.assert_array_equal(plan.masks["fc2"], np.abs(weights["fc2"]) > 0)
+    assert list(plan.leading) == ["conv1.conv"] and plan.exact
+    trace = forward(weights, spec, np.full((1, 5, 5), 0.3, dtype=np.float32))
+    counts = pathcount_forward(weights, spec, trace, plan=plan)
+    assert counts.layer("conv1.conv") is plan.leading["conv1.conv"]
+    with pytest.raises(ValueError, match="read-only"):
+        counts.layer("conv1.conv")[0, 0, 0] = 1.0
+    # without a plan nothing is shared: every array is the caller's to edit
+    own = pathcount_forward(weights, spec, trace)
+    assert own.layer("conv1.conv").tobytes() == counts.layer("conv1.conv").tobytes()
+    own.layer("conv1.conv")[0, 0, 0] = 1.0
+
+
+def test_mean_clip_plan_reads_the_float32_mean():
+    # the middle weight equals the float64 mean of the three, but lies above
+    # their float32 mean: only the float32 weights keep it
+    w = np.array([[0.7423169016838074, 0.8132702112197876, 0.8842235207557678]],
+                 dtype=np.float32)
+    spec = ModelSpec((1, 1, 3), 2, (flatten(), fc(1), relu(), fc(2)))
+    weights = {"fc1": w, "fc2": np.ones((2, 1), dtype=np.float32)}
+    mask = pathcount_plan(weights, spec, ClipConfig("mean")).masks["fc1"]
+    np.testing.assert_array_equal(mask, [[0, 1, 1]])
+    np.testing.assert_array_equal(clip_fc_weights(w.astype(np.float64), ClipConfig("mean")),
+                                  [[0, 0, 1]])
