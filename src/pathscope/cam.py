@@ -3,8 +3,10 @@
 `saliency_map` is the single saliency entry point: it reads the forward
 trace its caller already holds. CAM variants differ only in the feature term
 weighted by the channel gradients: the activation itself ("act"), its binary
-on/off pattern ("onoff"), or its path counts ("pathcount"). "uniform" and
-"random" stubs serve as baselines. Two evaluation protocols:
+on/off pattern ("onoff"), or its path counts ("pathcount"), counted with a
+`pathcount_plan` in the default clip: the clip acts only on fc weights, and
+every fc layer follows the last conv block's ReLU, which a CAM reads.
+"uniform" and "random" stubs serve as baselines. Two evaluation protocols:
 pixel-perturbation degradation (most/least relevant first) and target
 matching on 2x2 tiled composites.
 """
@@ -28,7 +30,7 @@ from .model import (
     resolve,
 )
 from .parallel import pmap
-from .pathcount import ClipConfig, PathCountPlan, pathcount_forward, pathcount_plan
+from .pathcount import PathCountPlan, pathcount_forward, pathcount_plan
 
 CAM_VARIANTS = ("act", "onoff", "pathcount")
 STUB_VARIANTS = ("uniform", "random")
@@ -71,7 +73,6 @@ def _normalize(sal: np.ndarray) -> np.ndarray:
 
 
 def saliency_map(weights, spec, trace: ForwardTrace, target_class: int, variant: str,
-                 clip: ClipConfig = ClipConfig(),
                  rng: np.random.Generator | None = None, *,
                  plan: PathCountPlan | None = None) -> np.ndarray:
     """Saliency map [H,W] of the input `trace` was taken on.
@@ -80,7 +81,7 @@ def saliency_map(weights, spec, trace: ForwardTrace, target_class: int, variant:
     ReLU, bilinearly upsampled and max-normalized to [0,1]. Stubs: "uniform"
     (constant map, all ties) and "random" (noise drawn from `rng`, the
     uninformative baseline). The "pathcount" variant counts with `plan`, the
-    weights' pathcount_plan, or builds one when it is not given.
+    weights' pathcount_plan, which it requires.
     """
     if variant == "uniform":
         return np.ones(spec.input_shape[1:], dtype=np.float64)
@@ -95,7 +96,9 @@ def saliency_map(weights, spec, trace: ForwardTrace, target_class: int, variant:
     elif variant == "onoff":
         terms = (feats > 0).astype(np.float64)
     elif variant == "pathcount":
-        terms = pathcount_forward(weights, spec, trace, clip, plan).layer(layer)
+        if plan is None:
+            raise ArgumentError("pathcount saliency needs a pathcount_plan")
+        terms = pathcount_forward(plan, trace).layer(layer)
     else:
         raise ArgumentError(
             f"unknown variant {variant!r}; choose from {CAM_VARIANTS + STUB_VARIANTS}")
@@ -127,10 +130,10 @@ def perturb(x: np.ndarray, saliency: np.ndarray, fraction: float, order: str,
     return out
 
 
-def _plan_for(weights, spec, variant, clip) -> PathCountPlan | None:
+def _plan_for(weights, spec, variant) -> PathCountPlan | None:
     """The pathcount_plan of the stored weights when `variant` counts paths:
     the workers run on float64 operands, which must not make the plan."""
-    return pathcount_plan(weights, spec, clip) if variant == "pathcount" else None
+    return pathcount_plan(weights, spec) if variant == "pathcount" else None
 
 
 def _degrade_one(item, *, weights, spec, variant, fractions, fill, seed, plan):
@@ -156,7 +159,6 @@ def degradation_score(
     dataset: Dataset,
     variant: str = "act",
     steps: int = 10,
-    clip: ClipConfig = ClipConfig(),
     workers: int = 1,
     seed: int = 0,
 ):
@@ -170,7 +172,7 @@ def degradation_score(
     worker = functools.partial(_degrade_one, weights=gemm_operands(weights), spec=spec,
                                variant=variant, fractions=fractions,
                                fill=mean_pixel(dataset), seed=seed,
-                               plan=_plan_for(weights, spec, variant, clip))
+                               plan=_plan_for(weights, spec, variant))
     items = [(i, dataset.images[i], int(dataset.labels[i])) for i in range(len(dataset))]
     results = pmap(worker, items, workers=workers)
     acc = np.zeros((2, len(fractions)))
@@ -258,7 +260,6 @@ def target_matching_accuracy(
     spec: ModelSpec,
     tiled: list[TiledSample],
     variant: str = "act",
-    clip: ClipConfig = ClipConfig(),
     workers: int = 1,
     target_shuffle_seed: int | None = None,
 ) -> float:
@@ -269,7 +270,7 @@ def target_matching_accuracy(
     if not tiled:
         raise ArgumentError("no tiled samples given")
     worker = functools.partial(_tilematch_one, weights=gemm_operands(weights), spec=spec,
-                               variant=variant, plan=_plan_for(weights, spec, variant, clip))
+                               variant=variant, plan=_plan_for(weights, spec, variant))
     results = pmap(worker, list(enumerate(tiled)), workers=workers)
     shuffle_rng = (np.random.default_rng(target_shuffle_seed)
                    if target_shuffle_seed is not None else None)

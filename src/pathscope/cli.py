@@ -38,7 +38,7 @@ from .model import (
     save_model,
     train_sgd,
 )
-from .pathcount import ClipConfig, pathcount_forward
+from .pathcount import ClipConfig, pathcount_forward, pathcount_plan
 
 _ALL_KINDS = ",".join(replacement.REPLACEMENT_KINDS)
 
@@ -80,8 +80,13 @@ _DATASET_KEYS = {"data_images": None, "data_labels": None, "synthetic": None,
 
 def _analysis_keys(out: str, **keys) -> dict:
     """Defaults shared by the commands that analyse a saved model."""
-    return {"out": out, "seed": 0, **_DATASET_KEYS, "clip_mode": "absolute",
-            "clip_threshold": 0.0, "model": None, **keys}
+    return {"out": out, "seed": 0, **_DATASET_KEYS, "model": None, **keys}
+
+
+# The fc weight clip, taken by the commands whose path counts can pass through
+# an fc layer. A CAM reads the last conv block's ReLU, which every fc layer
+# follows, so cam, degrade and tilematch take no clip.
+_CLIP_KEYS = {"clip_mode": "absolute", "clip_threshold": 0.0}
 
 
 def _option(command: str, key: str) -> dict:
@@ -260,13 +265,14 @@ def cmd_pathcount(cfg: dict) -> int:
     for layer in layers:
         layer_index(names, layer)
     trace = forward(weights, spec, x)
-    counts = pathcount_forward(weights, spec, trace, _clip(cfg))
+    counts = pathcount_forward(pathcount_plan(weights, spec, _clip(cfg)), trace)
     out = _outdir(cfg, "pathcount")
     flat = [counts.layer(layer).reshape(-1) for layer in layers]
+    column = np.concatenate(flat)  # exact counts are integers of at most 2**53
     reports.write_csv(os.path.join(out, "pathcount.csv"), ["layer", "neuron_index", "count"],
                       columns=[np.repeat(layers, [f.size for f in flat]),
                                np.concatenate([np.arange(f.size) for f in flat]),
-                               np.concatenate(flat)])
+                               column.astype(np.int64) if counts.exact else column])
     reports.write_json(os.path.join(out, "pathcount.json"), {
         "exact": counts.exact, "sample": cfg["sample"],
         "layers": {layer: counts.layer(layer).reshape(-1) for layer in layers},
@@ -330,16 +336,18 @@ def cmd_cam(cfg: dict) -> int:
     target = cfg["target_class"]
     if target is None:
         target = int(np.argmax(trace.logits))
-    sal = cam_mod.saliency_map(weights, spec, trace, target, cfg["variant"], _clip(cfg))
+    sal = cam_mod.saliency_map(weights, spec, trace, target, cfg["variant"],
+                               plan=cam_mod._plan_for(weights, spec, cfg["variant"]))
+    layer = cam_mod.cam_layer(spec)
     out = _outdir(cfg, "cam")
     reports.write_pgm(os.path.join(out, "cam.pgm"), sal)
     reports.write_csv(os.path.join(out, "cam.csv"),
                       [f"c{j}" for j in range(sal.shape[1])], sal.tolist())
     reports.write_json(os.path.join(out, "cam.json"), {
         "variant": cfg["variant"], "target_class": target, "label": label,
-        "sample": cfg["sample"], "layer": cam_mod.cam_layer(spec),
+        "sample": cfg["sample"], "layer": layer,
     })
-    print(f"target={target} layer={cam_mod.cam_layer(spec)} max_at="
+    print(f"target={target} layer={layer} max_at="
           f"{divmod(int(sal.argmax()), sal.shape[1])}")
     return 0
 
@@ -348,8 +356,7 @@ def cmd_degrade(cfg: dict) -> int:
     spec, weights = _load_model(cfg)
     dataset = _sampled_dataset(cfg)
     morf, lerf, area = cam_mod.degradation_score(
-        weights, spec, dataset, cfg["variant"], cfg["steps"], _clip(cfg),
-        workers=cfg["workers"], seed=cfg["seed"])
+        weights, spec, dataset, cfg["variant"], cfg["steps"], cfg["workers"], cfg["seed"])
     fractions = np.linspace(0.0, 1.0, cfg["steps"] + 1)
     out = _outdir(cfg, "degrade")
     reports.write_csv(os.path.join(out, "degradation.csv"),
@@ -367,11 +374,9 @@ def cmd_tilematch(cfg: dict) -> int:
     spec, weights = _load_model(cfg)
     dataset = _resolve_dataset(cfg)
     tiled = cam_mod.make_tiled(dataset, cfg["tiles"], cfg["seed"])
-    acc = cam_mod.target_matching_accuracy(
-        weights, spec, tiled, cfg["variant"], _clip(cfg), cfg["workers"])
-    control = cam_mod.target_matching_accuracy(
-        weights, spec, tiled, cfg["variant"], _clip(cfg), cfg["workers"],
-        target_shuffle_seed=cfg["seed"] + 1)
+    acc = cam_mod.target_matching_accuracy(weights, spec, tiled, cfg["variant"], cfg["workers"])
+    control = cam_mod.target_matching_accuracy(weights, spec, tiled, cfg["variant"],
+                                               cfg["workers"], target_shuffle_seed=cfg["seed"] + 1)
     out = _outdir(cfg, "tilematch")
     reports.write_csv(os.path.join(out, "tilematch.csv"),
                       ["variant", "accuracy", "shuffled_control_accuracy", "tiles"],
@@ -400,14 +405,14 @@ _COMMANDS = {
         "out": "eval_out", "seed": 0, **_DATASET_KEYS, "model": None}),
     "pathcount": _Command(
         cmd_pathcount, "path counts of one input, layer by layer",
-        _analysis_keys("pathcount_out", sample=0, layer=None),
+        _analysis_keys("pathcount_out", **_CLIP_KEYS, sample=0, layer=None),
         {"sample": {"help": "dataset index of the input to trace"}}),
     "replace-sweep": _Command(
         cmd_replace_sweep, "replacement accuracy per layer and kind",
-        _analysis_keys("sweep_out", kinds=_ALL_KINDS, sample=1000, workers=1)),
+        _analysis_keys("sweep_out", **_CLIP_KEYS, kinds=_ALL_KINDS, sample=1000, workers=1)),
     "correlate": _Command(
         cmd_correlate, "rank correlation of representations vs path counts",
-        _analysis_keys("correlate_out", sample=1000, workers=1),
+        _analysis_keys("correlate_out", **_CLIP_KEYS, sample=1000, workers=1),
         {"model": {"help": "model file, or comma list to aggregate over seeds"}}),
     "cam": _Command(
         cmd_cam, "saliency map for one input",

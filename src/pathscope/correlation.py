@@ -215,7 +215,7 @@ def _tau_one(x, *, weights, spec, layers, plan):
     correlation is undefined (all-ties on either side). `plan` is the
     weights' pathcount_plan."""
     trace = forward(weights, spec, x)
-    counts = pathcount_forward(weights, spec, trace, plan=plan)
+    counts = pathcount_forward(plan, trace)
     out = {}
     for layer in layers:
         rep = trace.output(layer).reshape(-1).astype(np.float64)

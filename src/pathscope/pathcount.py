@@ -6,22 +6,25 @@ elements, where a path is active iff every intermediate neuron it visits is
 on and every weight it crosses is nonzero (fully-connected weights must
 additionally survive the clip threshold).
 
-`pathcount_forward` computes all counts at once: the model's own forward
-pass of an all-ones input over binarized weights, where only ReLU (gated by
-the traced on/off pattern) and max-pool (routed by the traced argmax) read
-the trace. `pathcount_bruteforce` enumerates complete paths one by one (no
-memoization) and exists to cross-check the forward recurrence.
+`pathcount_forward(plan, trace)` computes all counts at once: the model's own
+forward pass of an all-ones input over binarized weights, where only ReLU
+(gated by the traced on/off pattern) and max-pool (routed by the traced
+argmax) read the trace. `pathcount_bruteforce` enumerates complete paths one
+by one (no memoization) and exists to cross-check the forward recurrence.
 
-The weight-only part is a `PathCountPlan`, which an analysis builds once and
-shares across its images: each conv and fc layer's binary mask, or a mark
-that every weight survives ("dense"), and the counts of the layers before
-the first ReLU or pool, which read no trace. A dense layer takes a closed
-form in place of a matmul against its mask. A dense conv layer's counts are,
-in every output channel, the k x k box sum at the layer's stride and padding
-of the channel sum of its input counts. A dense fc layer gives every output
-the one sum of its inputs. A trained float32 weight is practically never
-exactly 0, so in practice every conv mask is dense, and so is the fc mask
-in the default absolute clip of 0.
+The weight-only part is a `PathCountPlan`, `pathcount_plan(weights, spec,
+clip)`, which an analysis builds once and shares across its images; every
+count goes through one. It holds the resolved layers, each conv and fc
+layer's binary mask, or a mark that every weight survives ("dense"), and the
+read-only counts of the layers before the first ReLU or pool, which read no
+trace. A dense layer takes a closed form in place of a matmul against its
+mask. A dense conv layer's counts are, in every output channel, the k x k
+box sum at the layer's stride and padding of the channel sum of its input
+counts. A dense fc layer gives every output the one sum of its inputs. A
+trained float32 weight is practically never exactly 0, so in practice every
+conv mask is dense, and so is the fc mask in the default absolute clip of 0.
+The clip reads only fc weights, and every fc layer follows every conv layer,
+so no conv or conv-ReLU count depends on it.
 
 Counts are float64, integer-exact below 2**53; `exact` says whether every
 count is at most 2**53. Counts are nonnegative integers, so every partial
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, SizeError
-from .model import ForwardTrace, ModelSpec, _layer_forward, layer_index, resolve
+from .model import ForwardTrace, ModelSpec, ResolvedLayer, _layer_forward, layer_index, resolve
 
 _EXACT_LIMIT = float(2**53)
 
@@ -92,11 +95,12 @@ class PathCountPlan:
     """The part of path counting that reads only the weights, built once for
     one (weights, spec, clip) and shared by every trace counted with them.
 
-    `masks` maps each conv and fc layer to its float64 binary mask, or to None
-    when every weight survives ("dense"). `leading` holds the read-only counts
-    of the layers before the first ReLU or pool, which read no trace, and
-    `exact` says whether they are exact."""
+    `resolved` is `resolve(spec)`. `masks` maps each conv and fc layer to its
+    float64 binary mask, or to None when every weight survives ("dense").
+    `leading` holds the read-only counts of the layers before the first ReLU
+    or pool, which read no trace, and `exact` says whether they are exact."""
 
+    resolved: tuple[ResolvedLayer, ...]
     masks: dict[str, np.ndarray | None]
     leading: dict[str, np.ndarray]
     exact: bool
@@ -108,47 +112,32 @@ def pathcount_plan(
     """The weight-only part of `pathcount_forward`. Build it from the stored
     float32 weights: the mean clip's threshold is their float32 mean."""
     resolved = resolve(spec)
-    masks = _masks(weights, resolved, clip)
+    binary = {r.name: clip_fc_weights(weights[r.name], clip) if r.spec.kind == "fc"
+              else (np.abs(weights[r.name]) > 0).astype(np.float64)
+              for r in resolved if r.spec.kind in ("conv", "fc")}
+    masks = {name: None if m.all() else m for name, m in binary.items()}  # None: dense
     n = next((i for i, r in enumerate(resolved) if r.spec.kind in ("relu", "maxpool")),
              len(resolved))
     leading: dict[str, np.ndarray] = {}
     exact = _propagate(resolved[:n], masks, np.ones((1, *spec.input_shape)), None, leading)
     for c in leading.values():
         c.flags.writeable = False
-    return PathCountPlan(masks, leading, exact)
+    return PathCountPlan(resolved, masks, leading, exact)
 
 
-def _masks(weights, resolved, clip: ClipConfig) -> dict[str, np.ndarray | None]:
-    """Each conv and fc layer's float64 binary mask, or None where it is dense."""
-    binary = {r.name: clip_fc_weights(weights[r.name], clip) if r.spec.kind == "fc"
-              else (np.abs(weights[r.name]) > 0).astype(np.float64)
-              for r in resolved if r.spec.kind in ("conv", "fc")}
-    return {name: None if m.all() else m for name, m in binary.items()}
-
-
-def pathcount_forward(
-    weights: dict[str, np.ndarray],
-    spec: ModelSpec,
-    trace: ForwardTrace,
-    clip: ClipConfig = ClipConfig(),
-    plan: PathCountPlan | None = None,
-) -> PathCountMap:
+def pathcount_forward(plan: PathCountPlan, trace: ForwardTrace) -> PathCountMap:
     """All-ones propagation: every input element contributes one path.
 
     Conv/fc layers sum counts over surviving weights (padding contributes
     nothing; dropout and flatten are identity); ReLU layers zero the counts
-    of off neurons; pools forward the argmax winner's count. `plan` is
-    `pathcount_plan(weights, spec, clip)`, and then `weights` and `clip` are
-    not read and the counts of its leading layers are returned as the plan's
-    own read-only arrays. Without a plan only the masks are built, and every
-    layer is counted afresh."""
-    resolved = resolve(spec)
-    if plan is None:
-        plan = PathCountPlan(_masks(weights, resolved, clip), {}, True)
+    of off neurons; pools forward the argmax winner's count. `plan` is the
+    weights' `pathcount_plan`; the counts of its leading layers are returned
+    as the plan's own read-only arrays."""
     counts = dict(plan.leading)
     n = len(counts)
-    cur = counts[resolved[n - 1].name][None] if n else np.ones((1, *spec.input_shape))
-    exact = _propagate(resolved[n:], plan.masks, cur, trace, counts)
+    cur = (counts[plan.resolved[n - 1].name][None] if n
+           else np.ones((1, *plan.resolved[0].in_shape)))
+    exact = _propagate(plan.resolved[n:], plan.masks, cur, trace, counts)
     return PathCountMap(counts, exact and plan.exact)
 
 

@@ -141,7 +141,7 @@ def _sweep_one(x, *, weights, spec, layers, kinds, plan):
     no kind reads path counts."""
     trace = forward(weights, spec, x)
     base_pred = int(np.argmax(trace.logits))
-    counts = pathcount_forward(weights, spec, trace, plan=plan) if plan is not None else None
+    counts = pathcount_forward(plan, trace) if plan is not None else None
     preds = {}
     for layer in layers:
         for kind in kinds:

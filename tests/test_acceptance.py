@@ -41,6 +41,7 @@ from pathscope import (
     maxpool,
     pathcount_bruteforce,
     pathcount_forward,
+    pathcount_plan,
     relu,
     replace_and_infer,
     save_model,
@@ -118,7 +119,7 @@ def test_criterion_1_pathcount_matches_bruteforce_on_100_nets():
         x = rng.normal(size=spec.input_shape).astype(np.float32)
         trace = forward(weights, spec, x)
         for clip in (ClipConfig(), ClipConfig("absolute", float(rng.uniform(0.2, 1.0)))):
-            fast = pathcount_forward(weights, spec, trace, clip)
+            fast = pathcount_forward(pathcount_plan(weights, spec, clip), trace)
             assert fast.exact
             for r in resolve(spec):
                 flat = fast.layer(r.name).reshape(-1)
@@ -290,7 +291,7 @@ def test_criterion_5_zero_sets_coincide_on_trained_model(desk):
     relu_layers = [r.name for r in resolve(spec) if r.spec.kind == "relu"]
     for x in images:
         trace = forward(weights, spec, x)
-        counts = pathcount_forward(weights, spec, trace)
+        counts = pathcount_forward(pathcount_plan(weights, spec), trace)
         for layer in relu_layers:
             act_zero = trace.output(layer) == 0
             count_zero = counts.layer(layer) == 0

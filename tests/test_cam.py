@@ -11,6 +11,7 @@ import pytest
 import pathscope.cam as cam_mod
 from pathscope import (
     ArgumentError,
+    ClipConfig,
     Dataset,
     ModelSpec,
     bilinear_resize,
@@ -23,6 +24,8 @@ from pathscope import (
     gradient_wrt_layer,
     make_tiled,
     maxpool,
+    pathcount_forward,
+    pathcount_plan,
     perturb,
     relu,
     saliency_map,
@@ -96,7 +99,7 @@ def test_pathcount_variant_on_delta_kernel_is_flat():
     x = np.random.default_rng(3).random((1, 4, 4), dtype=np.float32) + 0.1
     trace = forward(weights, spec, x)
     # every feature position keeps exactly one active path (its own pixel)
-    cam = saliency_map(weights, spec, trace, 0, "pathcount")
+    cam = saliency_map(weights, spec, trace, 0, "pathcount", plan=pathcount_plan(weights, spec))
     np.testing.assert_array_equal(cam, np.ones((4, 4)))
 
 
@@ -104,8 +107,9 @@ def test_cam_is_normalized_and_input_sized(conv_net):
     spec, weights = conv_net
     x = np.random.default_rng(4).random((1, 8, 8), dtype=np.float32)
     trace = forward(weights, spec, x)
+    plan = pathcount_plan(weights, spec)
     for variant in ("act", "onoff", "pathcount"):
-        cam = saliency_map(weights, spec, trace, 2, variant)
+        cam = saliency_map(weights, spec, trace, 2, variant, plan=plan)
         assert cam.shape == (8, 8)
         assert cam.min() >= 0.0
         assert cam.max() == pytest.approx(1.0) or cam.max() == 0.0
@@ -123,8 +127,31 @@ def test_variant_and_class_validation(conv_net):
         saliency_map(weights, spec, trace, 0, "gradient")
     with pytest.raises(ArgumentError):
         saliency_map(weights, spec, trace, 0, "random")  # rng is mandatory
+    with pytest.raises(ArgumentError, match="pathcount_plan"):
+        saliency_map(weights, spec, trace, 0, "pathcount")  # so is the plan
     with pytest.raises(ArgumentError):
         saliency_map(weights, spec, trace, 0, "blur")
+
+
+def test_pathcount_cam_is_the_same_under_every_fc_clip():
+    # the clip acts on fc weights only, and fc1 follows the CAM layer conv2.relu
+    spec = ModelSpec((1, 8, 8), 4, (conv(2), relu(), conv(3), relu(), maxpool(), flatten(),
+                                    fc(6), relu(), fc(4)))
+    weights = build_model(spec, seed=21)
+    absolute = pathcount_plan(weights, spec)
+    mean = pathcount_plan(weights, spec, ClipConfig("mean"))
+    assert absolute.masks["fc1"] is None and not mean.masks["fc1"].all()
+    rng = np.random.default_rng(8)
+    fc_counts_differ = False
+    for _ in range(4):
+        trace = forward(weights, spec, rng.random((1, 8, 8), dtype=np.float32))
+        fc_counts_differ |= not np.array_equal(pathcount_forward(absolute, trace).layer("fc1"),
+                                               pathcount_forward(mean, trace).layer("fc1"))
+        for target in range(4):
+            a = saliency_map(weights, spec, trace, target, "pathcount", plan=absolute)
+            b = saliency_map(weights, spec, trace, target, "pathcount", plan=mean)
+            assert a.tobytes() == b.tobytes()
+    assert fc_counts_differ
 
 
 def test_saliency_stubs(conv_net):
@@ -354,8 +381,7 @@ def test_perfect_localizer_scores_one(conv_net, monkeypatch):
     tiles = make_tiled(ds, 8, seed=2)
     control_tiles = make_tiled(ds, 120, seed=5)
 
-    def oracle_cam(weights, spec, trace, target_class, variant, clip=None, rng=None, *,
-                   plan=None):
+    def oracle_cam(weights, spec, trace, target_class, variant, rng=None, *, plan=None):
         sample = next(s for s in tiles + control_tiles
                       if np.array_equal(s.image, trace.input))
         t = sample.labels.index(target_class)

@@ -387,6 +387,41 @@ def test_pathcount_all_layers_by_default(fc_fixture, tmp_path):
     assert layers == ["flatten1"] * 2 + ["fc1"] * 2 + ["fc1.relu"] * 2 + ["fc2"] * 2
 
 
+def test_pathcount_csv_writes_exact_counts_in_full(tmp_path):
+    # positive weights on a positive input keep every unit on: six 16-channel
+    # blocks take fc1 past 10**12, where %.12g would drop digits, and below 2**53
+    spec = ModelSpec((1, 6, 6), 2, (*[l for _ in range(6) for l in (conv(16), relu())],
+                                    flatten(), fc(2)))
+    model = str(tmp_path / "model.npsc")
+    save_model({k: np.abs(v) for k, v in build_model(spec, seed=0).items()}, spec, model)
+    images, labels = str(tmp_path / "img.idx"), str(tmp_path / "lbl.idx")
+    write_idx(Dataset(np.full((1, 1, 6, 6), 0.5, dtype=np.float32),
+                      np.zeros(1, dtype=np.int64), 2), images, labels)
+    out = tmp_path / "o"
+    assert run("pathcount", "--model", model, "--data-images", images,
+               "--data-labels", labels, "--out", str(out)) == 0
+    blob = json.load(open(out / "pathcount.json"))
+    assert blob["exact"] is True
+    assert 10**12 < max(blob["layers"]["fc1"]) <= 2**53
+    _, rows = read_csv(out / "pathcount.csv")
+    expected = [(layer, i, int(v)) for layer, values in blob["layers"].items()
+                for i, v in enumerate(values)]
+    assert sorted((layer, int(i), int(c)) for layer, i, c in rows) == sorted(expected)
+
+
+@pytest.mark.parametrize("command", ["cam", "degrade", "tilematch"])
+def test_clip_options_exit_2_where_no_fc_count_is_read(tmp_path, capsys, command):
+    # a CAM reads the last conv block's ReLU, which every fc layer follows
+    with pytest.raises(SystemExit) as flag_exit:
+        run(command, "--clip-mode", "mean")
+    assert flag_exit.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("clip_threshold = 0.5\n")
+    assert run(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert "unknown key 'clip_threshold'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_csv_columns_give_the_text_of_their_rows():
     # pathcount.csv is written as columns: each numpy column's formatter is
     # picked once from its dtype, and must give every cell's format_value

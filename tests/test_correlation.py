@@ -40,7 +40,7 @@ from pathscope.correlation import (
     tau_csv_rows,
 )
 from pathscope.model import build_model
-from pathscope.pathcount import pathcount_forward
+from pathscope.pathcount import pathcount_forward, pathcount_plan
 
 
 def tau_b_naive(x, y):
@@ -395,7 +395,7 @@ def test_reduction_matches_per_image_taus():
         per_image = []
         for x in ds.images:
             trace = forward(weights, spec, x)
-            counts = pathcount_forward(weights, spec, trace)
+            counts = pathcount_forward(pathcount_plan(weights, spec), trace)
             rep = trace.output(layer).reshape(-1)
             try:
                 per_image.append(kendall_tau_b(rep, counts.layer(layer).reshape(-1)))

@@ -18,6 +18,7 @@ from pathscope import (
     ForwardTrace,
     ModelSpec,
     SizeError,
+    cam_layer,
     clip_fc_weights,
     conv,
     extract_onoff,
@@ -67,7 +68,7 @@ def test_both_hidden_on_gives_four_paths():
     spec = tiny_fc_spec()
     weights = tiny_fc_weights([[1.0, 1.0], [1.0, 1.0]])
     trace = forward(weights, spec, np.full((1, 1, 2), 0.5, dtype=np.float32))
-    counts = pathcount_forward(weights, spec, trace)
+    counts = pathcount_forward(pathcount_plan(weights, spec), trace)
     np.testing.assert_array_equal(counts.layer("flatten1"), [1.0, 1.0])
     np.testing.assert_array_equal(counts.layer("fc1"), [2.0, 2.0])
     np.testing.assert_array_equal(counts.layer("fc1.relu"), [2.0, 2.0])
@@ -79,7 +80,7 @@ def test_one_hidden_off_gives_two_paths():
     spec = tiny_fc_spec()
     weights = tiny_fc_weights([[1.0, 1.0], [-1.0, -1.0]])  # second unit off on positive input
     trace = forward(weights, spec, np.full((1, 1, 2), 0.5, dtype=np.float32))
-    counts = pathcount_forward(weights, spec, trace)
+    counts = pathcount_forward(pathcount_plan(weights, spec), trace)
     np.testing.assert_array_equal(counts.layer("fc1"), [2.0, 2.0])  # pre-gate
     np.testing.assert_array_equal(counts.layer("fc1.relu"), [2.0, 0.0])
     np.testing.assert_array_equal(counts.layer("fc2"), [2.0, 2.0])
@@ -90,7 +91,7 @@ def test_conv_center_sees_nine_paths_corners_four():
     weights = build_model(spec, seed=0)
     weights["conv1.conv"] = np.ones((1, 1, 3, 3), dtype=np.float32)
     trace = forward(weights, spec, np.full((1, 5, 5), 0.3, dtype=np.float32))
-    counts = pathcount_forward(weights, spec, trace).layer("conv1.conv")[0]
+    counts = pathcount_forward(pathcount_plan(weights, spec), trace).layer("conv1.conv")[0]
     assert counts[2, 2] == 9.0  # interior: full 3x3 window
     assert counts[0, 0] == counts[0, 4] == counts[4, 0] == counts[4, 4] == 4.0
     assert counts[0, 2] == 6.0  # edge: one row padded away
@@ -109,7 +110,7 @@ def test_zero_weight_taps_are_not_paths():
     kernel[0, 0, 1, 1] = 0.0  # knock out the center tap
     weights["conv1.conv"] = kernel
     trace = forward(weights, spec, np.full((1, 5, 5), 0.3, dtype=np.float32))
-    counts = pathcount_forward(weights, spec, trace).layer("conv1.conv")[0]
+    counts = pathcount_forward(pathcount_plan(weights, spec), trace).layer("conv1.conv")[0]
     assert counts[2, 2] == 8.0
 
 
@@ -120,7 +121,7 @@ def test_pool_forwards_the_winning_count():
     x = np.zeros((1, 4, 4), dtype=np.float32)
     x[0, 0, 0] = 1.0  # top-left corner dominates the first window
     trace = forward(weights, spec, x)
-    counts = pathcount_forward(weights, spec, trace)
+    counts = pathcount_forward(pathcount_plan(weights, spec), trace)
     conv_counts = counts.layer("conv1.relu")[0]
     routing = trace.routings["pool1"].reshape(-1)
     np.testing.assert_array_equal(
@@ -136,7 +137,7 @@ def test_dropout_and_flatten_pass_counts_through():
     spec = ModelSpec((1, 1, 3), 2, (flatten(), fc(3), relu(), dropout(0.25), fc(2)))
     weights = build_model(spec, seed=3)
     trace = forward(weights, spec, np.full((1, 1, 3), 0.2, dtype=np.float32))
-    counts = pathcount_forward(weights, spec, trace)
+    counts = pathcount_forward(pathcount_plan(weights, spec), trace)
     np.testing.assert_array_equal(counts.layer("dropout1"), counts.layer("fc1.relu"))
     np.testing.assert_array_equal(counts.layer("flatten1"), np.ones(3))
 
@@ -191,8 +192,8 @@ def test_raising_the_threshold_never_raises_a_count(seed, t1, t2):
     weights = build_model(spec, seed=seed % 1000)
     x = np.random.default_rng(seed).random((1, 1, 4)).astype(np.float32)
     trace = forward(weights, spec, x)
-    loose = pathcount_forward(weights, spec, trace, ClipConfig("absolute", lo))
-    tight = pathcount_forward(weights, spec, trace, ClipConfig("absolute", hi))
+    loose = pathcount_forward(pathcount_plan(weights, spec, ClipConfig("absolute", lo)), trace)
+    tight = pathcount_forward(pathcount_plan(weights, spec, ClipConfig("absolute", hi)), trace)
     for name in loose.layers:
         assert np.all(tight.layer(name) <= loose.layer(name))
 
@@ -218,7 +219,7 @@ def test_pattern_accessor_rejects_unknown_layer():
     weights = tiny_fc_weights([[1.0, 1.0], [1.0, 1.0]])
     trace = forward(weights, spec, np.full((1, 1, 2), 0.5, dtype=np.float32))
     with pytest.raises(ArgumentError):
-        pathcount_forward(weights, spec, trace).layer("fc9")
+        pathcount_forward(pathcount_plan(weights, spec), trace).layer("fc9")
 
 
 def test_counts_vanish_exactly_where_pattern_is_off():
@@ -228,7 +229,7 @@ def test_counts_vanish_exactly_where_pattern_is_off():
         weights = build_model(spec, seed=seed)
         x = np.random.default_rng(seed).normal(size=(1, 4, 4)).astype(np.float32)
         trace = forward(weights, spec, x)
-        counts = pathcount_forward(weights, spec, trace)
+        counts = pathcount_forward(pathcount_plan(weights, spec), trace)
         off = extract_onoff(trace)["conv1.relu"] == 0
         assert np.all(counts.layer("conv1.relu")[off] == 0)
 
@@ -245,8 +246,8 @@ def test_counts_depend_on_trace_only_through_pattern_and_routing():
         outputs={k: v * 1000.0 for k, v in trace.outputs.items()},
         routings=trace.routings,
     )
-    a = pathcount_forward(weights, spec, trace)
-    b = pathcount_forward(weights, spec, rescaled)
+    a = pathcount_forward(pathcount_plan(weights, spec), trace)
+    b = pathcount_forward(pathcount_plan(weights, spec), rescaled)
     for name in a.layers:
         np.testing.assert_array_equal(a.layer(name), b.layer(name))
 
@@ -267,7 +268,7 @@ def test_fc_counts_match_bruteforce(seed, clip):
     weights = build_model(spec, seed=seed)
     x = np.random.default_rng(seed).normal(size=(1, 1, 4)).astype(np.float32)
     trace = forward(weights, spec, x)
-    fast = pathcount_forward(weights, spec, trace, clip)
+    fast = pathcount_forward(pathcount_plan(weights, spec, clip), trace)
     slow = all_counts(weights, spec, trace, clip)
     for name, expected in slow.items():
         np.testing.assert_array_equal(fast.layer(name), expected)
@@ -280,7 +281,7 @@ def test_conv_pool_counts_match_bruteforce(seed):
     weights = build_model(spec, seed=seed)
     x = np.random.default_rng(seed + 100).normal(size=(1, 4, 4)).astype(np.float32)
     trace = forward(weights, spec, x)
-    fast = pathcount_forward(weights, spec, trace)
+    fast = pathcount_forward(pathcount_plan(weights, spec), trace)
     slow = all_counts(weights, spec, trace)
     for name, expected in slow.items():
         np.testing.assert_array_equal(fast.layer(name), expected)
@@ -292,7 +293,7 @@ def test_strided_unpadded_conv_counts_match_bruteforce():
     weights = build_model(spec, seed=4)
     x = np.random.default_rng(4).normal(size=(2, 5, 5)).astype(np.float32)
     trace = forward(weights, spec, x)
-    fast = pathcount_forward(weights, spec, trace)
+    fast = pathcount_forward(pathcount_plan(weights, spec), trace)
     slow = all_counts(weights, spec, trace)
     for name, expected in slow.items():
         np.testing.assert_array_equal(fast.layer(name), expected)
@@ -306,7 +307,7 @@ def test_sparse_kernel_counts_match_bruteforce():
     weights["conv1.conv"] = kernel
     x = np.random.default_rng(5).normal(size=(1, 4, 4)).astype(np.float32)
     trace = forward(weights, spec, x)
-    fast = pathcount_forward(weights, spec, trace)
+    fast = pathcount_forward(pathcount_plan(weights, spec), trace)
     slow = all_counts(weights, spec, trace)
     for name, expected in slow.items():
         np.testing.assert_array_equal(fast.layer(name), expected)
@@ -333,7 +334,7 @@ def test_layer_mixes_match_bruteforce(mix, clip):
     weights = build_model(spec, seed=6)
     x = np.random.default_rng(6).normal(size=shape).astype(np.float32)
     trace = forward(weights, spec, x)
-    fast = pathcount_forward(weights, spec, trace, clip)
+    fast = pathcount_forward(pathcount_plan(weights, spec, clip), trace)
     slow = all_counts(weights, spec, trace, clip)
     assert fast.layers.keys() == slow.keys()
     for name, expected in slow.items():
@@ -356,7 +357,7 @@ def test_exact_flag_trips_past_float64_integer_range():
     weights = {f"fc{i + 1}": np.full(s, 0.5, dtype=np.float32)
                for i, s in enumerate([(width, width)] * depth + [(2, width)])}
     trace = forward(weights, spec, np.full((1, 1, width), 0.1, dtype=np.float32))
-    counts = pathcount_forward(weights, spec, trace)
+    counts = pathcount_forward(pathcount_plan(weights, spec), trace)
     assert not counts.exact
     assert float(counts.layer(f"fc{depth}").max()) == float(width) ** depth
 
@@ -365,7 +366,7 @@ def test_small_networks_are_exact():
     spec = tiny_fc_spec()
     weights = tiny_fc_weights([[1.0, 1.0], [1.0, 1.0]])
     trace = forward(weights, spec, np.full((1, 1, 2), 0.5, dtype=np.float32))
-    assert pathcount_forward(weights, spec, trace).exact
+    assert pathcount_forward(pathcount_plan(weights, spec), trace).exact
 
 
 def test_bruteforce_refuses_blowup(monkeypatch):
@@ -402,7 +403,7 @@ def test_fc_oracle_equivalence_property(seed):
     x = rng.normal(size=(1, 1, 3)).astype(np.float32)
     trace = forward(weights, spec, x)
     clip = ClipConfig("absolute", float(rng.uniform(0, 1.5)))
-    fast = pathcount_forward(weights, spec, trace, clip)
+    fast = pathcount_forward(pathcount_plan(weights, spec, clip), trace)
     for i in range(2):
         slow = pathcount_bruteforce(weights, spec, trace, clip, ("fc2", i))
         assert fast.layer("fc2")[i] == float(slow)
@@ -457,6 +458,15 @@ def architectures(draw):
     return ModelSpec(shape, 2, (*layers, fc(2)))
 
 
+@given(architectures())
+@settings(max_examples=100, deadline=None)
+def test_every_fc_layer_follows_the_cam_layer(spec):
+    # so the fc clip, the only clip, never reaches a CAM's counts
+    names = [r.name for r in resolve(spec)]
+    cam_at = names.index(cam_layer(spec))
+    assert all(i > cam_at for i, r in enumerate(resolve(spec)) if r.spec.kind == "fc")
+
+
 @given(architectures(), st.integers(0, 2**32 - 1), st.booleans(),
        st.sampled_from([ClipConfig(), ClipConfig("absolute", 0.3), ClipConfig("mean")]))
 @settings(max_examples=80, deadline=None)
@@ -470,7 +480,7 @@ def test_plan_counts_equal_all_gemm_counts_bytewise(spec, seed, zero_tap, clip):
     plan = pathcount_plan(weights, spec, clip)
     for _ in range(2):  # one plan serves every trace
         trace = forward(weights, spec, rng.normal(size=spec.input_shape).astype(np.float32))
-        counts = pathcount_forward(weights, spec, trace, clip, plan)
+        counts = pathcount_forward(plan, trace)
         assert counts.exact
         oracle = gemm_counts(weights, spec, trace, clip)
         assert counts.layers.keys() == oracle.keys()
@@ -489,15 +499,12 @@ def test_plan_marks_dense_layers_and_keeps_the_leading_counts_read_only():
     assert plan.masks["conv1.conv"] is None and plan.masks["fc1"] is None
     np.testing.assert_array_equal(plan.masks["fc2"], np.abs(weights["fc2"]) > 0)
     assert list(plan.leading) == ["conv1.conv"] and plan.exact
+    assert plan.resolved == resolve(spec)
     trace = forward(weights, spec, np.full((1, 5, 5), 0.3, dtype=np.float32))
-    counts = pathcount_forward(weights, spec, trace, plan=plan)
+    counts = pathcount_forward(plan, trace)
     assert counts.layer("conv1.conv") is plan.leading["conv1.conv"]
     with pytest.raises(ValueError, match="read-only"):
         counts.layer("conv1.conv")[0, 0, 0] = 1.0
-    # without a plan nothing is shared: every array is the caller's to edit
-    own = pathcount_forward(weights, spec, trace)
-    assert own.layer("conv1.conv").tobytes() == counts.layer("conv1.conv").tobytes()
-    own.layer("conv1.conv")[0, 0, 0] = 1.0
 
 
 def test_mean_clip_plan_reads_the_float32_mean():

@@ -24,6 +24,7 @@ from pathscope import (
     maxpool,
     model_digest,
     pathcount_forward,
+    pathcount_plan,
     relu,
     replace_and_infer,
     replaceable_layers,
@@ -142,7 +143,7 @@ def test_signed_kind_equals_unsigned_on_relu_layers(make_spec):
         weights = build_model(spec, seed=seed)
         x = np.random.default_rng(seed).random(spec.input_shape, dtype=np.float32)
         trace = forward(weights, spec, x)
-        counts = pathcount_forward(weights, spec, trace)
+        counts = pathcount_forward(pathcount_plan(weights, spec), trace)
         for layer in replaceable_layers(spec):
             act, c = trace.output(layer), counts.layer(layer)
             assert not np.signbit(act).any()
@@ -181,7 +182,7 @@ def test_replacement_site_rules(small_net):
     spec, weights = small_net
     x = np.zeros((1, 6, 6), dtype=np.float32)
     trace = forward(weights, spec, x)
-    counts = pathcount_forward(weights, spec, trace)
+    counts = pathcount_forward(pathcount_plan(weights, spec), trace)
     with pytest.raises(ArgumentError, match="ReLU"):
         replace_and_infer(weights, spec, trace, "conv1.conv", "scaled_onoff")
     with pytest.raises(ArgumentError, match="ReLU"):
@@ -211,7 +212,7 @@ def test_replacement_leaves_the_trace_unchanged(small_net):
     x = np.random.default_rng(2).random((1, 6, 6), dtype=np.float32)
     trace = forward(weights, spec, x)
     before = {k: v.copy() for k, v in trace.outputs.items()}
-    counts = pathcount_forward(weights, spec, trace)
+    counts = pathcount_forward(pathcount_plan(weights, spec), trace)
     for kind in REPLACEMENT_KINDS:
         replace_and_infer(weights, spec, trace, "conv1.relu", kind, counts)
     for k, v in before.items():
@@ -222,7 +223,7 @@ def test_dead_input_keeps_zero_logits_zero(small_net):
     spec, weights = small_net
     x = np.zeros((1, 6, 6), dtype=np.float32)  # no bias terms: everything stays 0
     trace = forward(weights, spec, x)
-    counts = pathcount_forward(weights, spec, trace)
+    counts = pathcount_forward(pathcount_plan(weights, spec), trace)
     for kind in REPLACEMENT_KINDS:
         out = replace_and_infer(weights, spec, trace, "conv1.relu", kind, counts)
         np.testing.assert_array_equal(out, np.zeros(3, dtype=np.float32))
@@ -318,9 +319,10 @@ def test_sweep_clip_config_is_recorded_and_applied(small_net, small_batch):
     for x in small_batch.images:
         trace = forward(weights, spec, x)
         a = replace_and_infer(weights, spec, trace, "fc1.relu", "scaled_pathcount",
-                              pathcount_forward(weights, spec, trace))
-        b = replace_and_infer(weights, spec, trace, "fc1.relu", "scaled_pathcount",
-                              pathcount_forward(weights, spec, trace, ClipConfig("mean")))
+                              pathcount_forward(pathcount_plan(weights, spec), trace))
+        b = replace_and_infer(
+            weights, spec, trace, "fc1.relu", "scaled_pathcount",
+            pathcount_forward(pathcount_plan(weights, spec, ClipConfig("mean")), trace))
         diffs.append(not np.array_equal(a, b))
     assert any(diffs)
 
