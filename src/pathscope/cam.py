@@ -14,7 +14,7 @@ matching on 2x2 tiled composites.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .model import (
     forward,
     gemm_operands,
     gradient_wrt_layer,
+    layer_index,
+    layer_names,
     resolve,
 )
 from .parallel import pmap
@@ -132,8 +134,13 @@ def perturb(x: np.ndarray, saliency: np.ndarray, fraction: float, order: str,
 
 def _plan_for(weights, spec, variant) -> PathCountPlan | None:
     """The pathcount_plan of the stored weights when `variant` counts paths:
-    the workers run on float64 operands, which must not make the plan."""
-    return pathcount_plan(weights, spec) if variant == "pathcount" else None
+    the workers run on float64 operands, which must not make the plan. Its
+    layers stop at the CAM layer, the last count a CAM reads."""
+    if variant != "pathcount":
+        return None
+    plan = pathcount_plan(weights, spec)
+    stop = layer_index(layer_names(spec), cam_layer(spec))
+    return replace(plan, resolved=plan.resolved[:stop + 1])
 
 
 def _degrade_one(item, *, weights, spec, variant, fractions, fill, seed, plan):

@@ -8,15 +8,17 @@ why the tie-corrected variant is used.
 
 The pair counts are computed as exact integers and combined in a single
 final division, so small hand-checkable inputs give bit-exact ratios like
-4/5 = 0.8. One stable sort of y gives its tied pairs n2 and its dense ranks
-r; a stable sort of x over that order sorts by x with ties by y, and its
-run boundaries give n1 and the jointly tied pairs n3. In that order the
+4/5 = 0.8. One sort of y gives its tied pairs n2 and its dense ranks r; a
+stable sort of x over that order sorts by x with ties by y, and its run
+boundaries give n1 and the jointly tied pairs n3. In that order the
 discordant pairs are the inversions of r (Knight, JASA 1966), counted two
 bits of r per pass: a stable group sort by the bits above the digit and one
 int64 cumsum that packs the three counters "digit >= 1, 2, 3". That is
 O(n log n * ceil(log2(k) / 2)) for k distinct values of y, and path counts
 have few. Ranks are uint16 while k <= 65,536, so the group sorts are radix
-sorts. NaN has no rank, so NaN input raises NumericalError.
+sorts. NaN has no rank, so NaN input raises NumericalError. The sort of y
+need not be stable: values tied in y share a rank, so their order changes
+no run and no inversion.
 
 Most of a ReLU layer is one block Z = {x == 0}: off neurons have x = 0 and
 count 0, and so does a conv window whose inputs are all off (0.86-0.91 of
@@ -59,10 +61,11 @@ def _tied_pairs(change: np.ndarray) -> int:
 
 
 def _dense_ranks(v: np.ndarray):
-    """(stable argsort of v, its run boundaries in that order, v's dense ranks,
-    the number of distinct values). Ranks are uint16 while they fit, so a
-    stable argsort of them is numpy's radix sort."""
-    order = np.argsort(v, kind="stable")
+    """(argsort of v, its run boundaries in that order, v's dense ranks, the
+    number of distinct values). The argsort is numpy's default, not stable:
+    the order of equal values changes no rank and no count. Ranks are uint16
+    while they fit, so a stable argsort of them is numpy's radix sort."""
+    order = np.argsort(v)
     vs = v[order]
     change = vs[1:] != vs[:-1]
     k = int(np.count_nonzero(change)) + (v.size > 0)

@@ -2,7 +2,9 @@
 
 Images are a single float32 array [N,C,H,W] with values in [0,1]; labels are
 int64 class indices. The IDX reader/writer round-trips byte-exact pixel
-values (load scales by /255, write inverts it).
+values (load scales by /255, write inverts it). The writer quantizes the
+images a block at a time into the uint8 pixels, so it holds no float array
+the size of the dataset.
 """
 
 from __future__ import annotations
@@ -101,20 +103,35 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(images, labels, int(labels.max()) + 1 if n else 10)
 
 
+# Images quantized at a time by write_idx: its float buffer holds this many.
+_IDX_BLOCK = 256
+
+
 def write_idx(dataset: Dataset, images_path, labels_path) -> None:
-    """Inverse of load_idx; pixels are quantized with round(v*255)."""
-    n, c, h, w = dataset.images.shape
+    """Inverse of load_idx; pixels are quantized with round(v*255), clipped to
+    [0, 255]. The images are quantized one block at a time through one float
+    buffer of the images' arithmetic dtype into the uint8 pixels, whose
+    buffer is written as it is."""
+    images = dataset.images
+    n, c, h, w = images.shape
     if c != 1:
         raise ArgumentError(f"IDX stores single-channel images, got {c} channels")
     if dataset.labels.max(initial=0) > 255:
         raise ArgumentError(f"IDX stores labels as bytes, got label {dataset.labels.max()}")
-    pixels = np.clip(np.rint(dataset.images * 255.0), 0, 255).astype(np.uint8)
+    pixels = np.empty((n, h, w), dtype=np.uint8)
+    block = np.empty((min(n, _IDX_BLOCK), h, w), dtype=np.result_type(images.dtype, 255.0))
+    for start in range(0, n, _IDX_BLOCK):
+        b = block[:min(_IDX_BLOCK, n - start)]
+        np.multiply(images[start:start + len(b), 0], 255.0, out=b)
+        np.rint(b, out=b)
+        np.clip(b, 0, 255, out=b)
+        pixels[start:start + len(b)] = b
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", _IDX_IMAGES_MAGIC, n, h, w))
-        f.write(pixels.tobytes())
+        f.write(pixels)
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", _IDX_LABELS_MAGIC, n))
-        f.write(dataset.labels.astype(np.uint8).tobytes())
+        f.write(dataset.labels.astype(np.uint8))
 
 
 def synthetic_blobs(n: int, classes: int = 10, image_hw: int = 28, seed: int = 0) -> Dataset:

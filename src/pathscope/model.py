@@ -227,48 +227,106 @@ class ForwardTrace:
         return self.input if i == 0 else self.outputs[self.names[i - 1]]
 
 
-def _layer_forward(r: ResolvedLayer, weights, x, train=False, drop_rng=None):
+class Workspace:
+    """The arrays that one train_sgd, predict_batch or evaluate_accuracy call
+    writes its layers' outputs and gradients into, reused by every batch. It
+    lives as long as the call, so no batch frees memory that the next one
+    must fault in again, and no memory is held between calls.
+
+    Every array has a leading batch axis. A smaller batch, such as the last
+    partial one, gets its own shape as the leading rows of the same array."""
+
+    def __init__(self):
+        self._arrays: dict = {}
+
+    def array(self, key, shape, dtype, avoid=None):
+        """A [shape] array of `dtype` kept under `key`, or a second one when
+        the first shares memory with `avoid`."""
+        pair = self._arrays.setdefault((key, shape[1:], np.dtype(dtype)), [])
+        for i, a in enumerate(pair):
+            if avoid is None or not np.may_share_memory(a, avoid):
+                if len(a) < shape[0]:
+                    a = pair[i] = np.empty(shape, dtype)
+                return a[:shape[0]]
+        pair.append(np.empty(shape, dtype))
+        return pair[-1]
+
+
+# Layer kinds whose output, once written, no cache entry holds: each entry
+# keeps its layer's input. A ReLU or dropout that follows one of them may
+# overwrite that output in place.
+_UNHELD_OUTPUT = ("conv", "maxpool", "fc")
+
+
+def _layer_forward(r: ResolvedLayer, weights, x, train=False, drop_rng=None, ws=None,
+                   inplace=False):
     """One layer on a batch; returns (output, aux), aux being the pool
-    routing, the dropout mask, or None."""
+    routing, the dropout mask, or None.
+
+    With a Workspace `ws` the layer writes into its arrays: a training
+    forward keeps one set per layer, which the cache holds until the reverse
+    sweep; an inference forward, which keeps nothing, takes for each output
+    one of two arrays per shape, the one its input is not in. `inplace` lets
+    a ReLU or dropout overwrite its input. The values are those of the
+    arrays that each op would allocate."""
     s = r.spec
+
+    def out(role="out", dtype=x.dtype):
+        if ws is None:
+            return None
+        shape = (len(x), *r.out_shape)
+        return ws.array((r.name, role), shape, dtype) if train else ws.array(role, shape, dtype, x)
+
     if s.kind == "conv":
-        return ops.conv2d_forward_batch(x, weights[r.name], s.stride, s.padding), None
+        return ops.conv2d_forward_batch(x, weights[r.name], s.stride, s.padding, out=out()), None
     if s.kind == "relu":
-        return ops.relu_forward(x), None
+        return ops.relu_forward(x, out=x if inplace else out()), None
     if s.kind == "maxpool":
-        return ops.maxpool_forward_batch(x, s.window, s.stride)
+        return ops.maxpool_forward_batch(x, s.window, s.stride,
+                                         out=None if ws is None else (out(), out("routing", np.int64)))
     if s.kind == "dropout":
         if train and s.rate > 0.0:
-            mask = (drop_rng.random(x.shape) >= s.rate).astype(x.dtype)
+            mask = np.empty(x.shape, x.dtype) if ws is None else out("mask")
+            np.greater_equal(drop_rng.random(x.shape), s.rate, out=mask)
             mask /= np.float32(1.0 - s.rate)
-            return x * mask, mask
+            return np.multiply(x, mask, out=x if inplace else out()), mask
         return x, None
     if s.kind == "flatten":
         return x.reshape(x.shape[0], -1), None
-    return ops.fc_forward_batch(x, weights[r.name]), None
+    return ops.fc_forward_batch(x, weights[r.name], out=out()), None
 
 
-def _layer_backward(r: ResolvedLayer, weights, x_in, aux, g, input_grad=True, weight_grad=True):
+def _layer_backward(r: ResolvedLayer, weights, x_in, aux, g, input_grad=True, weight_grad=True,
+                    ws=None):
     """Reverse of _layer_forward for upstream grad `g`; returns
     (grad wrt x_in, weight grad summed over the batch or None). A conv layer
     given input_grad=False skips its input gradient and returns None for it,
-    and an fc layer given weight_grad=False its weight gradient."""
+    and an fc layer given weight_grad=False its weight gradient.
+
+    With the Workspace of a training forward, whose entries nothing reads
+    once popped, the gradient goes into one of two "grad" arrays per shape,
+    the one `g` is not in. A ReLU writes it over its own cached output and a
+    dropout over `g`, each of which it alone still reads."""
     s = r.spec
+
+    def out():
+        return None if ws is None else ws.array("grad", x_in.shape, g.dtype, g)
+
     if s.kind == "conv":
         return ops.conv2d_backward_batch(x_in, weights[r.name], s.stride, s.padding, g,
-                                         input_grad=input_grad)
+                                         input_grad=input_grad, out=out() if input_grad else None)
     if s.kind == "relu":
-        return ops.relu_backward(x_in, g), None
+        return ops.relu_backward(x_in, g, out=None if ws is None else x_in), None
     if s.kind == "maxpool":
-        return ops.maxpool_backward_batch(x_in.shape, aux, g), None
+        return ops.maxpool_backward_batch(x_in.shape, aux, g, out=out()), None
     if s.kind == "dropout":
-        return (g if aux is None else g * aux), None
+        return (g if aux is None else np.multiply(g, aux, out=None if ws is None else g)), None
     if s.kind == "flatten":
         return g.reshape(x_in.shape), None
-    return ops.fc_backward_batch(x_in, weights[r.name], g, weight_grad=weight_grad)
+    return ops.fc_backward_batch(x_in, weights[r.name], g, weight_grad=weight_grad, out=out())
 
 
-def _forward_batch(weights, layers, xb, train=False, drop_rng=None, cache=True):
+def _forward_batch(weights, layers, xb, train=False, drop_rng=None, cache=True, ws=None):
     """Run batch `xb` through `layers`, any slice of resolve(spec); returns
     (output, cache), one (layer, its input, its _layer_forward aux) entry per
     layer, which _backward_batch reverses. With cache=False nothing is kept
@@ -284,35 +342,41 @@ def _forward_batch(weights, layers, xb, train=False, drop_rng=None, cache=True):
     is not finite: finite weights can still overflow float32, and argmax
     over inf or NaN logits would score the model as if it had predicted.
     numpy's overflow and invalid-value warnings are off in the layer loop,
-    since that check (or, in training, train_sgd's loss check) reports it."""
+    since that check (or, in training, train_sgd's loss check) reports it.
+
+    With a Workspace `ws` every layer writes into its arrays (_layer_forward);
+    a training forward (train=True) needs a cache and inference none."""
     if layers and xb.shape[1:] != layers[0].in_shape:
         raise ShapeError(f"input shape {xb.shape[1:]} != {layers[0].name} input {layers[0].in_shape}")
     kept = [] if cache else None
     cur = xb
+    prev = None
     with np.errstate(over="ignore", invalid="ignore"):
         for r in layers:
-            y, aux = _layer_forward(r, weights, cur, train, drop_rng)
+            y, aux = _layer_forward(r, weights, cur, train, drop_rng, ws,
+                                    inplace=ws is not None and prev in _UNHELD_OUTPUT)
             if kept is not None:
                 held = {"relu": y, "dropout": None}.get(r.spec.kind, cur) if train else cur
                 kept.append((r, held, aux))
-            cur = y
+            cur, prev = y, r.spec.kind
     if not train and not np.isfinite(cur).all():
         raise NumericalError(f"non-finite logits: {int(np.sum(~np.isfinite(cur)))} of "
                              f"{cur.size} values are inf or NaN")
     return cur, kept
 
 
-def _backward_batch(weights, cache, g, train):
+def _backward_batch(weights, cache, g, train, ws=None):
     """Reverse sweep over a _forward_batch cache for upstream grad `g`,
     releasing each entry once its layer's gradient is taken, so the cache
     ends empty; returns (grad wrt the first cached input, parameter gradients
     summed over the batch). A training step (train=True) needs no image
     gradient, so a leading conv layer skips it and the first element is None;
-    otherwise no fc layer computes its weight gradient."""
+    otherwise no fc layer computes its weight gradient. `ws` is the Workspace
+    of the training forward that made the cache, if it had one."""
     grads: dict[str, np.ndarray] = {}
     while cache:
         r, x_in, aux = cache.pop()
-        g, gw = _layer_backward(r, weights, x_in, aux, g, not train or bool(cache), train)
+        g, gw = _layer_backward(r, weights, x_in, aux, g, not train or bool(cache), train, ws)
         if gw is not None:
             grads[r.name] = gw
     return g, grads
@@ -412,21 +476,24 @@ def train_sgd(weights, spec, dataset, config: TrainConfig):
     shuffle_rng = np.random.default_rng(config.seed)
     drop_rng = np.random.default_rng(config.seed + 1)
     lr = config.learning_rate
+    ws = Workspace()
     history = []
     for _epoch in range(config.epochs):
         perm = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            xb = images[idx]
-            logits, cache = _forward_batch(w, resolve(spec), xb, train=True, drop_rng=drop_rng)
+            xb = ws.array("input", (len(idx), *images.shape[1:]), images.dtype)
+            np.take(images, idx, axis=0, out=xb, mode="clip")  # in range; "raise" would buffer out
+            logits, cache = _forward_batch(w, resolve(spec), xb, train=True, drop_rng=drop_rng, ws=ws)
             with np.errstate(over="ignore", invalid="ignore"):  # checked next
                 losses, grad_logits = ops.softmax_cross_entropy_batch(logits, labels[idx])
                 loss = float(losses.mean())
             if not math.isfinite(loss):
                 raise NumericalError(f"non-finite loss {loss} at epoch {_epoch}, sample offset {start}")
             epoch_loss += loss * len(idx)
-            _, grads = _backward_batch(w, cache, grad_logits / np.float32(len(idx)), train=True)
+            _, grads = _backward_batch(w, cache, grad_logits / np.float32(len(idx)), train=True,
+                                       ws=ws)
             for name, gw in grads.items():
                 w[name] -= np.float32(lr) * gw
         history.append(epoch_loss / n)
@@ -443,9 +510,10 @@ _PREDICT_BATCH = 64
 def predict_batch(weights, spec, images) -> np.ndarray:
     """Argmax class per image; ties break to the lowest class index."""
     preds = []
+    ws = Workspace()
     for start in range(0, len(images), _PREDICT_BATCH):
         logits, _ = _forward_batch(weights, resolve(spec), images[start:start + _PREDICT_BATCH],
-                                   cache=False)
+                                   cache=False, ws=ws)
         preds.append(np.argmax(logits, axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 

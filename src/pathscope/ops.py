@@ -109,12 +109,21 @@ def _check_conv_shapes(x, kernels, stride, padding):
         )
 
 
-def _conv(x, wm, k, stride, padding):
+def _result(out, shape, dtype):
+    """`out`, checked to be a [shape] array of `dtype`, or a new one when None."""
+    if out is None:
+        return np.empty(shape, dtype)
+    if out.shape != shape or out.dtype != dtype:
+        raise ShapeError(f"out is {out.dtype} {out.shape}, expected {np.dtype(dtype)} {shape}")
+    return out
+
+
+def _conv(x, wm, k, stride, padding, out=None):
     """Cross-correlation of [B,C,H,W] with float64 kernels wm [C_out, C*k*k]
-    into a new [B,C_out,OH,OW] array of x's dtype."""
+    into `out`, or a new [B,C_out,OH,OW] array of x's dtype."""
     c_out = len(wm)
     oh, ow = conv_output_hw(x.shape[2], x.shape[3], k, stride, padding)
-    y = np.empty((len(x), c_out, oh, ow), dtype=x.dtype)
+    y = _result(out, (len(x), c_out, oh, ow), x.dtype)
     yi = None  # the first matmul allocates it, the rest write into it
     for i, cols in enumerate(_columns(x, k, stride, padding)):
         yi = np.matmul(wm, cols, out=yi)
@@ -122,11 +131,12 @@ def _conv(x, wm, k, stride, padding):
     return y
 
 
-def conv2d_forward_batch(x, kernels, stride: int = 1, padding: int = 0):
-    """Bias-free cross-correlation of [B,C,H,W] with [C_out,C,k,k] kernels."""
+def conv2d_forward_batch(x, kernels, stride: int = 1, padding: int = 0, out=None):
+    """Bias-free cross-correlation of [B,C,H,W] with [C_out,C,k,k] kernels,
+    into `out` when given."""
     _check_conv_shapes(x, kernels, stride, padding)
     wm = kernels.reshape(len(kernels), -1).astype(np.float64, copy=False)
-    return _conv(x, wm, kernels.shape[2], stride, padding)
+    return _conv(x, wm, kernels.shape[2], stride, padding, out)
 
 
 def _dilated(g, h, w, k, stride, padding):
@@ -140,9 +150,10 @@ def _dilated(g, h, w, k, stride, padding):
     return full[:, :, crop:full.shape[2] - crop, crop:full.shape[3] - crop]
 
 
-def conv2d_backward_batch(x, kernels, stride, padding, grad_out, input_grad=True):
+def conv2d_backward_batch(x, kernels, stride, padding, grad_out, input_grad=True, out=None):
     """Gradients of conv2d wrt input and kernels for an upstream [B,C_out,OH,OW]
-    grad; with input_grad=False the input gradient is skipped and comes back None."""
+    grad, the input gradient into `out` when given; with input_grad=False it
+    is skipped and comes back None."""
     _check_conv_shapes(x, kernels, stride, padding)
     c_out, c, k, _ = kernels.shape
     b, _, h, w = x.shape
@@ -153,7 +164,7 @@ def conv2d_backward_batch(x, kernels, stride, padding, grad_out, input_grad=True
     if input_grad:  # to its end first: both lowerings can share one geometry's buffers
         flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
         g = _dilated(grad_out, h, w, k, stride, padding)
-        gx = _conv(g, flipped.astype(np.float64, copy=False), k, 1, max(k - 1 - padding, 0))
+        gx = _conv(g, flipped.astype(np.float64, copy=False), k, 1, max(k - 1 - padding, 0), out)
         gx = gx.astype(x.dtype, copy=False)
     grad_w = np.zeros((c_out, c * k * k))
     # one image's upstream grad, zero past column OW to the lowering's OWp columns
@@ -164,12 +175,18 @@ def conv2d_backward_batch(x, kernels, stride, padding, grad_out, input_grad=True
     return gx, grad_w.reshape(kernels.shape).astype(kernels.dtype, copy=False)
 
 
-def relu_forward(x):
-    return np.maximum(x, 0)
+def relu_forward(x, out=None):
+    return np.maximum(x, 0, out=_result(out, x.shape, x.dtype))
 
 
-def relu_backward(x, grad_out):
-    return grad_out * (x > 0)
+def relu_backward(x, grad_out, out=None):
+    """grad_out where x > 0, else grad_out * 0. With `out`, which may be x but
+    not grad_out, the mask is written into out as 1s and 0s and multiplied
+    there: the same products as with a bool mask, and no temporary."""
+    if out is None:
+        return grad_out * (x > 0)
+    np.greater(x, 0, out=_result(out, grad_out.shape, grad_out.dtype))
+    return np.multiply(grad_out, out, out=out)
 
 
 @functools.lru_cache(maxsize=32)
@@ -181,8 +198,9 @@ def _window_starts(c, h, w, oh, ow, stride):
     return starts
 
 
-def maxpool_forward_batch(x, window: int, stride: int):
-    """Per-window maxima of [B,C,H,W] plus argmax routing.
+def maxpool_forward_batch(x, window: int, stride: int, out=None):
+    """Per-window maxima of [B,C,H,W] plus argmax routing, into the pair
+    `out` = (maxima, int64 routing) when given.
 
     Routing entries are flat indices into each sample's [C,H,W] block; ties
     resolve to the lowest flat index (first occurrence in row-major window
@@ -201,23 +219,34 @@ def maxpool_forward_batch(x, window: int, stride: int):
     def at(ky, kx):  # [B,C,OH,OW] view of each window's (ky, kx) element
         return x[:, :, ky:ky + stride * (oh - 1) + 1:stride, kx:kx + stride * (ow - 1) + 1:stride]
 
-    running = at(0, 0).copy()  # compares like the maximum; signed zeros may differ
-    offset = np.zeros(running.shape, dtype=np.int64)
+    y, routing = out or (None, None)
+    y = _result(y, (b, c, oh, ow), x.dtype)
+    routing = _result(routing, y.shape, np.int64)
+    # y holds the running maximum, which compares like the maximum but may
+    # differ from it in the sign of a zero; routing holds each window's offset
+    y[...] = at(0, 0)
+    routing.fill(0)
     for ky in range(window):
         for kx in range(window):
             if ky or kx:
                 v = at(ky, kx)
-                # strictly greater, or the first NaN: np.argmax's rule
-                wins = ~(v <= running) & (running == running)
-                np.maximum(running, v, out=running)
-                np.maximum(offset, wins * (ky * w + kx), out=offset)
-    routing = offset + _window_starts(c, h, w, oh, ow, stride)
-    y = np.take(x, routing + (np.arange(b) * (c * h * w)).reshape(b, 1, 1, 1))
+                # strictly greater, or the first NaN: np.argmax's rule; offsets
+                # only grow in window order, so a win sets the offset outright
+                wins = ~(v <= y) & (y == y)
+                np.maximum(y, v, out=y)
+                np.copyto(routing, ky * w + kx, where=wins)
+    routing += _window_starts(c, h, w, oh, ow, stride)
+    # the maxima themselves, gathered through routing offset to each sample
+    batch = (np.arange(b) * (c * h * w)).reshape(b, 1, 1, 1)
+    routing += batch
+    np.take(x, routing, out=y, mode="clip")  # in range; "raise" would buffer out
+    routing -= batch
     return y, routing
 
 
-def maxpool_backward_batch(x_shape, routing, grad_out):
-    """Route upstream gradient to each window's argmax position.
+def maxpool_backward_batch(x_shape, routing, grad_out, out=None):
+    """Route upstream gradient to each window's argmax position, into `out`
+    when given.
 
     Overlapping windows can route several outputs to one input; those
     gradients are added in routing order, in the gradient's dtype.
@@ -230,27 +259,38 @@ def maxpool_backward_batch(x_shape, routing, grad_out):
     if routing.size and (routing.min() < 0 or routing.max() >= size):
         raise ShapeError(f"routing indexes outside a [{c},{h},{w}] sample")
     flat = (routing + (np.arange(b) * size).reshape(b, 1, 1, 1)).reshape(-1)
-    gx = np.zeros(b * size, dtype=grad_out.dtype)
-    np.add.at(gx, flat, grad_out.reshape(-1))
-    return gx.reshape(x_shape)
+    gx = _result(out, tuple(x_shape), grad_out.dtype)
+    gx.fill(0)
+    np.add.at(gx.reshape(-1), flat, grad_out.reshape(-1))
+    return gx
 
 
-def fc_forward_batch(x, weights):
-    """Bias-free matrix product of [B,N] inputs with [M,N] weights."""
+def fc_forward_batch(x, weights, out=None):
+    """Bias-free matrix product of [B,N] inputs with [M,N] weights, into `out`
+    when given."""
     if x.ndim != 2 or weights.ndim != 2:
         raise ShapeError(f"fc expects 2-d input/weights, got {x.shape} and {weights.shape}")
     if x.shape[1] != weights.shape[1]:
         raise ShapeError(f"fc inner dims disagree: input {x.shape} vs weights {weights.shape}")
     y = x.astype(np.float64, copy=False) @ weights.astype(np.float64, copy=False).T
-    return y.astype(x.dtype, copy=False)
+    return _cast(y, x.dtype, out)
 
 
-def fc_backward_batch(x, weights, grad_out, weight_grad=True):
-    """Gradients wrt input and weights; the latter is None with weight_grad=False."""
+def _cast(a, dtype, out):
+    """a as `dtype`, copied into `out` when given."""
+    if out is None:
+        return a.astype(dtype, copy=False)
+    _result(out, a.shape, dtype)[...] = a
+    return out
+
+
+def fc_backward_batch(x, weights, grad_out, weight_grad=True, out=None):
+    """Gradients wrt input, into `out` when given, and weights; the latter is
+    None with weight_grad=False."""
     if grad_out.shape != (x.shape[0], weights.shape[0]):
         raise ShapeError(f"upstream grad shape {grad_out.shape} != {(x.shape[0], weights.shape[0])}")
     g = grad_out.astype(np.float64, copy=False)
-    grad_x = (g @ weights.astype(np.float64, copy=False)).astype(x.dtype, copy=False)
+    grad_x = _cast(g @ weights.astype(np.float64, copy=False), x.dtype, out)
     if not weight_grad:
         return grad_x, None
     return grad_x, (g.T @ x.astype(np.float64, copy=False)).astype(weights.dtype, copy=False)

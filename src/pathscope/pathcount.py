@@ -95,8 +95,10 @@ class PathCountPlan:
     """The part of path counting that reads only the weights, built once for
     one (weights, spec, clip) and shared by every trace counted with them.
 
-    `resolved` is `resolve(spec)`. `masks` maps each conv and fc layer to its
-    float64 binary mask, or to None when every weight survives ("dense").
+    `resolved` is `resolve(spec)`, or a prefix of it that keeps every leading
+    layer: `pathcount_forward` counts only these layers, so a caller that
+    reads no later count may cut them. `masks` maps each conv and fc layer to
+    its float64 binary mask, or to None when every weight survives ("dense").
     `leading` holds the read-only counts of the layers before the first ReLU
     or pool, which read no trace, and `exact` says whether they are exact."""
 

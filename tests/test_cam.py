@@ -154,6 +154,24 @@ def test_pathcount_cam_is_the_same_under_every_fc_clip():
     assert fc_counts_differ
 
 
+def test_cam_plan_stops_at_the_cam_layer(conv_net):
+    # A CAM reads the counts of its layer only, so its plan counts no further,
+    # and the maps equal those of the whole plan byte for byte.
+    spec, weights = conv_net
+    plan = cam_mod._plan_for(weights, spec, "pathcount")
+    assert plan.resolved[-1].name == cam_layer(spec) == "conv2.relu"
+    assert cam_mod._plan_for(weights, spec, "act") is None
+    whole = pathcount_plan(weights, spec)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        trace = forward(weights, spec, rng.random((1, 8, 8), dtype=np.float32))
+        assert list(pathcount_forward(plan, trace).layers)[-1] == "conv2.relu"
+        for target in range(4):
+            assert (saliency_map(weights, spec, trace, target, "pathcount", plan=plan).tobytes()
+                    == saliency_map(weights, spec, trace, target, "pathcount",
+                                    plan=whole).tobytes())
+
+
 def test_saliency_stubs(conv_net):
     spec, weights = conv_net
     x = np.zeros((1, 8, 8), dtype=np.float32)

@@ -13,6 +13,8 @@ import pathscope as ps
 from pathscope import data
 from pathscope.errors import ArgumentError, FormatError
 
+from conftest import traced_peak
+
 
 def write_raw_idx(images_path, labels_path, pixels: np.ndarray, labels: np.ndarray):
     n, h, w = pixels.shape
@@ -87,6 +89,35 @@ def test_idx_round_trip(tmp_path):
     ps.write_idx(ds, tmp_path / "im2", tmp_path / "lb2")
     assert (tmp_path / "im").read_bytes() == (tmp_path / "im2").read_bytes()
     assert (tmp_path / "lb").read_bytes() == (tmp_path / "lb2").read_bytes()
+
+
+B = data._IDX_BLOCK
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_write_idx_quantizes_by_blocks_as_one_whole_array_would(tmp_path, n, dtype):
+    rng = np.random.default_rng(n)
+    images = rng.random((n, 1, 5, 4)).astype(dtype)
+    flat = images.reshape(-1)
+    special = np.concatenate([(np.arange(256) + 0.5) / 255,  # rounding ties
+                              [-0.0, -1e-7, np.nextafter(0, -1), 1 + 1e-7,
+                               np.nextafter(1, 2), 1.0, 0.0]]).astype(dtype)
+    flat[:special.size] = special[:flat.size]
+    labels = rng.integers(0, 10, n)
+    ps.write_idx(ps.Dataset(images, labels, 10), tmp_path / "im", tmp_path / "lb")
+    want = np.clip(np.rint(images * 255.0), 0, 255).astype(np.uint8)
+    assert (tmp_path / "im").read_bytes() == struct.pack(">IIII", 0x803, n, 5, 4) + want.tobytes()
+    assert (tmp_path / "lb").read_bytes() == (struct.pack(">II", 0x801, n)
+                                              + labels.astype(np.uint8).tobytes())
+
+
+def test_write_idx_holds_the_pixels_and_one_block(tmp_path):
+    # No float temporary the size of the dataset and no bytes copy of the
+    # pixels: the peak is the uint8 pixels plus one block's float buffer.
+    ds = ps.synthetic_digits(2000, seed=1)
+    _, peak = traced_peak(lambda: ps.write_idx(ds, tmp_path / "im", tmp_path / "lb"))
+    assert peak < len(ds) * 28 * 28 + 2**20
 
 
 def test_write_idx_rejects_a_label_past_a_byte(tmp_path):

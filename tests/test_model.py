@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import pickle
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +407,106 @@ def test_training_dropout_entry_holds_only_its_mask():
     assert cache == []
 
 
+@st.composite
+def trainable_stacks(draw):
+    """A small random stack: conv, ReLU, pool and dropout layers in any order
+    on a [C,H,W] input, then flatten, fc, ReLU and dropout layers in any
+    order, then an fc head. So a ReLU or dropout follows every kind of layer,
+    and a conv or fc layer may follow another with nothing between."""
+    shape = (draw(st.integers(1, 2)), draw(st.integers(3, 7)), draw(st.integers(3, 7)))
+    _, h, w = shape
+    layers = []
+    for kind in draw(st.lists(st.sampled_from(["conv", "conv", "relu", "maxpool", "dropout"]),
+                              max_size=6)):
+        if kind == "conv":
+            p = draw(st.integers(0, 1))
+            k = draw(st.integers(1, min(3, h + 2 * p, w + 2 * p)))
+            s = draw(st.integers(1, 2))
+            layers.append(ps.conv(draw(st.integers(1, 3)), kernel=k, stride=s, padding=p))
+            h, w = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        elif kind == "maxpool":
+            window, stride = draw(st.integers(1, min(2, h, w))), draw(st.integers(1, 2))
+            layers.append(ps.maxpool(window, stride))
+            h, w = (h - window) // stride + 1, (w - window) // stride + 1
+        else:
+            layers.append(ps.relu() if kind == "relu"
+                          else ps.dropout(draw(st.sampled_from([0.0, 0.25, 0.5]))))
+    layers.append(ps.flatten())
+    for kind in draw(st.lists(st.sampled_from(["fc", "relu", "dropout"]), max_size=3)):
+        layers.append(ps.fc(draw(st.integers(1, 5))) if kind == "fc"
+                      else ps.relu() if kind == "relu" else ps.dropout(0.5))
+    return ps.ModelSpec(shape, 3, (*layers, ps.fc(3)))
+
+
+def train_fresh(weights, spec, dataset, config):
+    """train_sgd's loop with fresh arrays: _forward_batch and _backward_batch
+    without a workspace, each op allocating what it returns."""
+    w = {k: v.copy() for k, v in weights.items()}
+    shuffle_rng = np.random.default_rng(config.seed)
+    drop_rng = np.random.default_rng(config.seed + 1)
+    n, history = len(dataset), []
+    for _ in range(config.epochs):
+        perm, epoch_loss = shuffle_rng.permutation(n), 0.0
+        for start in range(0, n, config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            logits, cache = _forward_batch(w, resolve(spec), dataset.images[idx], train=True,
+                                           drop_rng=drop_rng)
+            losses, grad_logits = ops.softmax_cross_entropy_batch(logits, dataset.labels[idx])
+            epoch_loss += float(losses.mean()) * len(idx)
+            _, grads = model._backward_batch(w, cache, grad_logits / np.float32(len(idx)), True)
+            for name, gw in grads.items():
+                w[name] -= np.float32(config.learning_rate) * gw
+        history.append(epoch_loss / n)
+    return w, history
+
+
+@given(trainable_stacks(), st.integers(2, 6), st.integers(0, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_workspace_training_and_inference_equal_fresh_arrays_bitwise(spec, batch, full, data):
+    # Every batch size leaves a partial last batch, which works in the
+    # leading rows of the full batch's arrays, in both epochs.
+    n = full * batch + data.draw(st.integers(1, batch - 1))
+    rng = np.random.default_rng(n * 7 + batch)
+    ds = ps.Dataset(rng.random((n, *spec.input_shape), dtype=np.float32),
+                    rng.integers(0, 3, n), 3)
+    weights = ps.build_model(spec, seed=n)
+    config = ps.TrainConfig(0.05, 2, batch, seed=batch)
+    got, got_history = ps.train_sgd(weights, spec, ds, config)
+    want, want_history = train_fresh(weights, spec, ds, config)
+    assert got_history == want_history
+    assert serialize_model(got, spec) == serialize_model(want, spec)
+
+    def logits(ws):
+        return [_forward_batch(got, resolve(spec), ds.images[s:s + batch], cache=False,
+                               ws=ws)[0].tobytes() for s in range(0, n, batch)]
+    assert logits(model.Workspace()) == logits(None)
+    fresh = [np.argmax(_forward_batch(got, resolve(spec), ds.images[s:s + model._PREDICT_BATCH],
+                                      cache=False)[0], axis=1)
+             for s in range(0, n, model._PREDICT_BATCH)]
+    np.testing.assert_array_equal(predict_batch(got, spec, ds.images), np.concatenate(fresh))
+
+
+def test_training_and_evaluation_keep_nothing_after_they_return():
+    # The workspace lives as long as one call: afterwards only the returned
+    # weights (and small Python objects) remain of what the call allocated.
+    spec = desk_spec()
+    weights = ps.build_model(spec, 0)
+    ds = ps.synthetic_digits(100, seed=3)  # batches of 64 and 36
+    config = ps.TrainConfig(0.01, 1, 64, 0)
+    ps.train_sgd(weights, spec, ps.subsample(ds, 4), config)  # the kept conv buffers
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trained, _ = ps.train_sgd(weights, spec, ds, config)
+        kept = tracemalloc.get_traced_memory()[0] - before
+        assert kept < sum(w.nbytes for w in trained.values()) + 2**14
+        before = tracemalloc.get_traced_memory()[0]
+        ps.evaluate_accuracy(trained, spec, ds)
+        assert tracemalloc.get_traced_memory()[0] - before < 2**14
+    finally:
+        tracemalloc.stop()
+
+
 def test_dropout_training_only():
     spec = ps.ModelSpec((1, 4, 4), 2,
                         (ps.dropout(0.5), ps.flatten(), ps.fc(2)))
@@ -560,9 +661,9 @@ def test_train_skips_only_the_first_conv_input_gradient(monkeypatch):
     asked = []
     real = ops.conv2d_backward_batch
 
-    def spy(x, kernels, stride, padding, grad_out, input_grad=True):
+    def spy(x, kernels, stride, padding, grad_out, input_grad=True, out=None):
         asked.append((kernels.shape[1], input_grad))
-        return real(x, kernels, stride, padding, grad_out, input_grad=input_grad)
+        return real(x, kernels, stride, padding, grad_out, input_grad=input_grad, out=out)
 
     monkeypatch.setattr(ops, "conv2d_backward_batch", spy)
     spec = ps.ModelSpec((1, 8, 8), 2,
@@ -579,9 +680,9 @@ def test_gradient_wrt_layer_asks_no_fc_weight_gradient(monkeypatch):
     asked = []
     real = ops.fc_backward_batch
 
-    def spy(x, weights, grad_out, weight_grad=True):
+    def spy(x, weights, grad_out, weight_grad=True, out=None):
         asked.append(weight_grad)
-        gx, gw = real(x, weights, grad_out, weight_grad=weight_grad)
+        gx, gw = real(x, weights, grad_out, weight_grad=weight_grad, out=out)
         assert (gw is None) == (not weight_grad)
         np.testing.assert_array_equal(gx, real(x, weights, grad_out)[0])
         return gx, gw

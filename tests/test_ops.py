@@ -380,8 +380,59 @@ def test_relu_backward_reads_its_output_as_its_input(dtype, data):
     x = np.concatenate([specials, data.draw(arrays(dtype, st.integers(0, 32), elements=floats))])
     g = data.draw(arrays(dtype, x.shape, elements=st.one_of(floats, st.sampled_from(specials))))
     with np.errstate(invalid="ignore"):  # an infinite grad times a closed gate is NaN
-        assert (ops.relu_backward(ops.relu_forward(x), g).tobytes()
-                == ops.relu_backward(x, g).tobytes())
+        want = ops.relu_backward(x, g).tobytes()
+        y = ops.relu_forward(x)
+        assert ops.relu_backward(y, g).tobytes() == want
+        # written over the cached output, as a workspace's reverse sweep does
+        assert ops.relu_backward(y, g, out=y) is y and y.tobytes() == want
+
+
+@pytest.mark.parametrize("stride, padding, window", [(1, 1, 2), (2, 0, 3), (1, 2, 1)])
+def test_ops_write_into_out_what_they_return(stride, padding, window):
+    rng = np.random.default_rng(stride * 10 + padding)
+    x = rng.standard_normal((3, 2, 7, 6)).astype(np.float32)
+    x[0, 0, :2, :2] = 0.0  # ties
+    x[1, 1, 3, 3] = -0.0
+    kernels = rng.standard_normal((4, 2, 3, 3)).astype(np.float32)
+    g = rng.standard_normal(ops.conv2d_forward_batch(x, kernels, stride, padding).shape)
+    g = g.astype(np.float32)
+    w = rng.standard_normal((5, x[0].size)).astype(np.float32)
+    flat = x.reshape(3, -1)
+
+    def same(fresh, out, written):
+        assert written is out and written.tobytes() == fresh.tobytes()
+
+    out = np.full(g.shape, np.nan, np.float32)
+    same(ops.conv2d_forward_batch(x, kernels, stride, padding), out,
+         ops.conv2d_forward_batch(x, kernels, stride, padding, out=out))
+    out = np.full(x.shape, np.nan, np.float32)
+    (gx, gw), (gx_out, gw_out) = (ops.conv2d_backward_batch(x, kernels, stride, padding, g),
+                                  ops.conv2d_backward_batch(x, kernels, stride, padding, g,
+                                                            out=out))
+    same(gx, out, gx_out)
+    assert gw.tobytes() == gw_out.tobytes()
+    y, routing = ops.maxpool_forward_batch(x, window, 2)
+    outs = np.full(y.shape, np.nan, np.float32), np.full(y.shape, -1, np.int64)
+    y_out, routing_out = ops.maxpool_forward_batch(x, window, 2, out=outs)
+    same(y, outs[0], y_out)
+    same(routing, outs[1], routing_out)
+    out = np.full(x.shape, np.nan, np.float32)
+    same(ops.maxpool_backward_batch(x.shape, routing, y), out,
+         ops.maxpool_backward_batch(x.shape, routing, y, out=out))
+    out = np.full(x.shape, np.nan, np.float32)
+    same(ops.relu_forward(x), out, ops.relu_forward(x, out=out))
+    out = np.full((3, 5), np.nan, np.float32)
+    same(ops.fc_forward_batch(flat, w), out, ops.fc_forward_batch(flat, w, out=out))
+    out = np.full(flat.shape, np.nan, np.float32)
+    g_fc = rng.standard_normal((3, 5)).astype(np.float32)
+    (gx, gw), (gx_out, gw_out) = (ops.fc_backward_batch(flat, w, g_fc),
+                                  ops.fc_backward_batch(flat, w, g_fc, out=out))
+    same(gx, out, gx_out)
+    assert gw.tobytes() == gw_out.tobytes()
+    with pytest.raises(ShapeError, match="out is float64"):
+        ops.relu_backward(x, x, out=np.empty(x.shape))  # no silent cast
+    with pytest.raises(ShapeError, match="out is float32 \\(3, 2, 7, 5\\)"):
+        ops.conv2d_forward_batch(x, kernels, 1, 1, out=np.empty((3, 2, 7, 5), np.float32))
 
 
 def test_softmax_cross_entropy_gradient():
@@ -630,7 +681,7 @@ def test_training_with_im2col_grad_input_is_byte_identical(monkeypatch, profile,
     real = ops.conv2d_backward_batch
     oracle_calls = []
 
-    def oracle(x, kernels, stride, padding, grad_out, input_grad=True):
+    def oracle(x, kernels, stride, padding, grad_out, input_grad=True, out=None):
         _, gw = real(x, kernels, stride, padding, grad_out, input_grad=False)
         if not input_grad:
             return None, gw
