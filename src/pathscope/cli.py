@@ -401,8 +401,8 @@ _COMMANDS = {
         "out": "train_out", "seed": 0, **_DATASET_KEYS, "synthetic_n": 8000,
         "small_fraction": data.TRAIN_SMALL_FRACTION,
         "profile": "desk", "epochs": None, "batch_size": None, "lr": None}),
-    "eval": _Command(cmd_eval, "accuracy of a saved model on a dataset", {
-        "out": "eval_out", "seed": 0, **_DATASET_KEYS, "model": None}),
+    "eval": _Command(cmd_eval, "accuracy of a saved model on a dataset",
+                     _analysis_keys("eval_out")),
     "pathcount": _Command(
         cmd_pathcount, "path counts of one input, layer by layer",
         _analysis_keys("pathcount_out", **_CLIP_KEYS, sample=0, layer=None),

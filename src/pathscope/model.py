@@ -258,23 +258,23 @@ class Workspace:
 _UNHELD_OUTPUT = ("conv", "maxpool", "fc")
 
 
-def _layer_forward(r: ResolvedLayer, weights, x, train=False, drop_rng=None, ws=None,
-                   inplace=False):
-    """One layer on a batch; returns (output, aux), aux being the pool
-    routing, the dropout mask, or None.
+def _layer_forward(r: ResolvedLayer, weights, x, drop_rng=None, ws=None, inplace=False):
+    """One layer on a batch, training exactly when given a `drop_rng` for its
+    dropout mask; returns (output, aux), aux being the pool routing, the
+    dropout mask, or None.
 
-    With a Workspace `ws` the layer writes into its arrays: a training
-    forward keeps one set per layer, which the cache holds until the reverse
-    sweep; an inference forward, which keeps nothing, takes for each output
-    one of two arrays per shape, the one its input is not in. `inplace` lets
-    a ReLU or dropout overwrite its input. The values are those of the
-    arrays that each op would allocate."""
+    Each output goes into a new array, or with a Workspace `ws` into one of
+    its arrays: a training forward keeps one set per layer, which the cache
+    holds until the reverse sweep; an inference forward, which keeps nothing,
+    takes for each output one of two arrays per shape, the one its input is
+    not in. `inplace` lets a ReLU or dropout overwrite its input."""
     s = r.spec
+    train = drop_rng is not None
 
     def out(role="out", dtype=x.dtype):
-        if ws is None:
-            return None
         shape = (len(x), *r.out_shape)
+        if ws is None:
+            return np.empty(shape, dtype)
         return ws.array((r.name, role), shape, dtype) if train else ws.array(role, shape, dtype, x)
 
     if s.kind == "conv":
@@ -282,11 +282,10 @@ def _layer_forward(r: ResolvedLayer, weights, x, train=False, drop_rng=None, ws=
     if s.kind == "relu":
         return ops.relu_forward(x, out=x if inplace else out()), None
     if s.kind == "maxpool":
-        return ops.maxpool_forward_batch(x, s.window, s.stride,
-                                         out=None if ws is None else (out(), out("routing", np.int64)))
+        return ops.maxpool_forward_batch(x, s.window, s.stride, out=(out(), out("routing", np.int64)))
     if s.kind == "dropout":
         if train and s.rate > 0.0:
-            mask = np.empty(x.shape, x.dtype) if ws is None else out("mask")
+            mask = out("mask")
             np.greater_equal(drop_rng.random(x.shape), s.rate, out=mask)
             mask /= np.float32(1.0 - s.rate)
             return np.multiply(x, mask, out=x if inplace else out()), mask
@@ -326,11 +325,11 @@ def _layer_backward(r: ResolvedLayer, weights, x_in, aux, g, input_grad=True, we
     return ops.fc_backward_batch(x_in, weights[r.name], g, weight_grad=weight_grad, out=out())
 
 
-def _forward_batch(weights, layers, xb, train=False, drop_rng=None, cache=True, ws=None):
+def _forward_batch(weights, layers, xb, drop_rng=None, ws=None):
     """Run batch `xb` through `layers`, any slice of resolve(spec); returns
     (output, cache), one (layer, its input, its _layer_forward aux) entry per
-    layer, which _backward_batch reverses. With cache=False nothing is kept
-    and the cache is None.
+    layer, which _backward_batch reverses. The forward trains exactly when it
+    is given a `drop_rng`, which draws its dropout masks.
 
     A training forward caches each ReLU's output in place of its input, so a
     pre-activation is freed as soon as its ReLU has run: relu_backward reads
@@ -338,22 +337,24 @@ def _forward_batch(weights, layers, xb, train=False, drop_rng=None, cache=True, 
     dropout entries keep no input, since dropout's reverse step reads only
     the mask.
 
-    An inference forward (train=False) raises NumericalError when its output
-    is not finite: finite weights can still overflow float32, and argmax
-    over inf or NaN logits would score the model as if it had predicted.
-    numpy's overflow and invalid-value warnings are off in the layer loop,
-    since that check (or, in training, train_sgd's loss check) reports it.
+    An inference forward raises NumericalError when its output is not
+    finite: finite weights can still overflow float32, and argmax over inf
+    or NaN logits would score the model as if it had predicted. numpy's
+    overflow and invalid-value warnings are off in the layer loop, since
+    that check (or, in training, train_sgd's loss check) reports it.
 
     With a Workspace `ws` every layer writes into its arrays (_layer_forward);
-    a training forward (train=True) needs a cache and inference none."""
+    an inference forward, whose next layers reuse them, then keeps no cache
+    and returns None for it. No forward writes xb."""
     if layers and xb.shape[1:] != layers[0].in_shape:
         raise ShapeError(f"input shape {xb.shape[1:]} != {layers[0].name} input {layers[0].in_shape}")
-    kept = [] if cache else None
+    train = drop_rng is not None
+    kept = [] if train or ws is None else None
     cur = xb
     prev = None
     with np.errstate(over="ignore", invalid="ignore"):
         for r in layers:
-            y, aux = _layer_forward(r, weights, cur, train, drop_rng, ws,
+            y, aux = _layer_forward(r, weights, cur, drop_rng, ws,
                                     inplace=ws is not None and prev in _UNHELD_OUTPUT)
             if kept is not None:
                 held = {"relu": y, "dropout": None}.get(r.spec.kind, cur) if train else cur
@@ -404,7 +405,7 @@ def forward_from_layer(
     # checked here too: resuming after the last layer runs an empty slice
     if tuple(cur.shape) != resolved[i].out_shape:
         raise ShapeError(f"activation shape {cur.shape} != {layer} output {resolved[i].out_shape}")
-    out, _ = _forward_batch(weights, resolved[i + 1:], cur[None], cache=False)
+    out, _ = _forward_batch(weights, resolved[i + 1:], cur[None])
     return out[0]
 
 
@@ -485,7 +486,7 @@ def train_sgd(weights, spec, dataset, config: TrainConfig):
             idx = perm[start:start + config.batch_size]
             xb = ws.array("input", (len(idx), *images.shape[1:]), images.dtype)
             np.take(images, idx, axis=0, out=xb, mode="clip")  # in range; "raise" would buffer out
-            logits, cache = _forward_batch(w, resolve(spec), xb, train=True, drop_rng=drop_rng, ws=ws)
+            logits, cache = _forward_batch(w, resolve(spec), xb, drop_rng, ws)
             with np.errstate(over="ignore", invalid="ignore"):  # checked next
                 losses, grad_logits = ops.softmax_cross_entropy_batch(logits, labels[idx])
                 loss = float(losses.mean())
@@ -513,7 +514,7 @@ def predict_batch(weights, spec, images) -> np.ndarray:
     ws = Workspace()
     for start in range(0, len(images), _PREDICT_BATCH):
         logits, _ = _forward_batch(weights, resolve(spec), images[start:start + _PREDICT_BATCH],
-                                   cache=False, ws=ws)
+                                   ws=ws)
         preds.append(np.argmax(logits, axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 

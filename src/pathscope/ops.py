@@ -180,12 +180,11 @@ def relu_forward(x, out=None):
 
 
 def relu_backward(x, grad_out, out=None):
-    """grad_out where x > 0, else grad_out * 0. With `out`, which may be x but
-    not grad_out, the mask is written into out as 1s and 0s and multiplied
-    there: the same products as with a bool mask, and no temporary."""
-    if out is None:
-        return grad_out * (x > 0)
-    np.greater(x, 0, out=_result(out, grad_out.shape, grad_out.dtype))
+    """grad_out where x > 0, else grad_out * 0, into `out` (which may be x but
+    not grad_out) when given; x broadcasts onto grad_out. The mask is written
+    as the 1s and 0s numpy casts a bool to: the bits of grad_out * (x > 0)."""
+    out = _result(out, grad_out.shape, grad_out.dtype)
+    np.greater(x, 0, out=out)
     return np.multiply(grad_out, out, out=out)
 
 
@@ -277,10 +276,9 @@ def fc_forward_batch(x, weights, out=None):
 
 
 def _cast(a, dtype, out):
-    """a as `dtype`, copied into `out` when given."""
-    if out is None:
-        return a.astype(dtype, copy=False)
-    _result(out, a.shape, dtype)[...] = a
+    """a as `dtype`, copied into `out` when given, else into a new array."""
+    out = _result(out, a.shape, dtype)
+    out[...] = a
     return out
 
 

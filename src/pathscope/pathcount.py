@@ -8,8 +8,8 @@ additionally survive the clip threshold).
 
 `pathcount_forward(plan, trace)` computes all counts at once: the model's own
 forward pass of an all-ones input over binarized weights, where only ReLU
-(gated by the traced on/off pattern) and max-pool (routed by the traced
-argmax) read the trace. `pathcount_bruteforce` enumerates complete paths one
+(gated, as its gradient is, by the traced on/off pattern) and max-pool
+(routed by the traced argmax) read the trace. `pathcount_bruteforce` enumerates complete paths one
 by one (no memoization) and exists to cross-check the forward recurrence.
 
 The weight-only part is a `PathCountPlan`, `pathcount_plan(weights, spec,
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ops
 from .errors import ArgumentError, SizeError
 from .model import ForwardTrace, ModelSpec, ResolvedLayer, _layer_forward, layer_index, resolve
 
@@ -152,7 +153,7 @@ def _propagate(layers, masks, cur, trace, counts: dict) -> bool:
     for r in layers:
         kind = r.spec.kind
         if kind == "relu":
-            cur = cur * (trace.outputs[r.name] > 0)
+            cur = ops.relu_backward(trace.outputs[r.name], cur)
         elif kind == "maxpool":
             cur = np.take(cur.reshape(-1), trace.routings[r.name])[None]
         elif kind == "conv" and masks[r.name] is None:

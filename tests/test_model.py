@@ -384,8 +384,7 @@ def test_training_cache_holds_no_pre_activation_and_backward_empties_it():
     spec = desk_spec()
     weights = ps.build_model(spec, 0)
     x = ps.synthetic_digits(8, seed=1).images
-    logits, cache = _forward_batch(weights, resolve(spec), x, train=True,
-                                   drop_rng=np.random.default_rng(0))
+    logits, cache = _forward_batch(weights, resolve(spec), x, np.random.default_rng(0))
     # each ReLU's entry is its output, the array the next layer reads
     relus = [i for i, (r, _, _) in enumerate(cache) if r.spec.kind == "relu"]
     assert relus and all(cache[i][1] is cache[i + 1][1] for i in relus)
@@ -399,12 +398,37 @@ def test_training_dropout_entry_holds_only_its_mask():
     spec = desk_spec()
     weights = ps.build_model(spec, 0)
     x = ps.synthetic_digits(8, seed=1).images
-    logits, cache = _forward_batch(weights, resolve(spec), x, train=True,
-                                   drop_rng=np.random.default_rng(0))
+    logits, cache = _forward_batch(weights, resolve(spec), x, np.random.default_rng(0))
     (r, held, mask), = [e for e in cache if e[0].spec.kind == "dropout"]
     assert held is None and mask.shape == (8, *r.in_shape)
     model._backward_batch(weights, cache, np.ones_like(logits), train=True)
     assert cache == []
+
+
+@pytest.mark.parametrize("first", [ps.relu(), ps.dropout(0.5), ps.conv(2)])
+def test_forward_batch_modes_keep_their_input_and_their_cache(first):
+    # A forward trains exactly when it gets a drop_rng, and keeps a cache
+    # unless it is an inference forward into a workspace. No mode writes its
+    # input batch, even where the first layer could act in place.
+    spec = ps.ModelSpec((1, 4, 4), 3, (first, ps.conv(2), ps.relu(), ps.dropout(0.5),
+                                       ps.flatten(), ps.fc(3)))
+    weights = ps.build_model(spec, 0)
+    x = np.random.default_rng(0).standard_normal((5, 1, 4, 4)).astype(np.float32)
+    before = x.tobytes()
+    for drop_rng in (None, np.random.default_rng(1)):
+        for ws in (None, model.Workspace()):
+            _, cache = _forward_batch(weights, resolve(spec), x, drop_rng, ws)
+            assert x.tobytes() == before
+            assert (cache is None) == (drop_rng is None and ws is not None)
+    _, cache = _forward_batch(weights, resolve(spec), x, np.random.default_rng(1))
+    assert [r for r, _, _ in cache] == list(resolve(spec))
+    for i, (r, held, aux) in enumerate(cache):
+        if r.spec.kind == "relu":  # its output, recomputed from what fed it
+            pre = x if i == 0 else model._layer_forward(cache[i - 1][0], weights,
+                                                        cache[i - 1][1])[0]
+            assert held.tobytes() == ops.relu_forward(pre).tobytes()
+        elif r.spec.kind == "dropout":
+            assert held is None and aux.shape == (5, *r.in_shape)
 
 
 @st.composite
@@ -449,8 +473,7 @@ def train_fresh(weights, spec, dataset, config):
         perm, epoch_loss = shuffle_rng.permutation(n), 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            logits, cache = _forward_batch(w, resolve(spec), dataset.images[idx], train=True,
-                                           drop_rng=drop_rng)
+            logits, cache = _forward_batch(w, resolve(spec), dataset.images[idx], drop_rng)
             losses, grad_logits = ops.softmax_cross_entropy_batch(logits, dataset.labels[idx])
             epoch_loss += float(losses.mean()) * len(idx)
             _, grads = model._backward_batch(w, cache, grad_logits / np.float32(len(idx)), True)
@@ -477,11 +500,11 @@ def test_workspace_training_and_inference_equal_fresh_arrays_bitwise(spec, batch
     assert serialize_model(got, spec) == serialize_model(want, spec)
 
     def logits(ws):
-        return [_forward_batch(got, resolve(spec), ds.images[s:s + batch], cache=False,
-                               ws=ws)[0].tobytes() for s in range(0, n, batch)]
+        return [_forward_batch(got, resolve(spec), ds.images[s:s + batch], ws=ws)[0].tobytes()
+                for s in range(0, n, batch)]
     assert logits(model.Workspace()) == logits(None)
-    fresh = [np.argmax(_forward_batch(got, resolve(spec), ds.images[s:s + model._PREDICT_BATCH],
-                                      cache=False)[0], axis=1)
+    fresh = [np.argmax(_forward_batch(got, resolve(spec), ds.images[s:s + model._PREDICT_BATCH])[0],
+                       axis=1)
              for s in range(0, n, model._PREDICT_BATCH)]
     np.testing.assert_array_equal(predict_batch(got, spec, ds.images), np.concatenate(fresh))
 
@@ -514,7 +537,7 @@ def test_dropout_training_only():
     x = np.ones((3, 1, 4, 4), dtype=np.float32)
     eval_logits, _ = _forward_batch(weights, resolve(spec), x)
     rng = np.random.default_rng(0)
-    train_logits, _ = _forward_batch(weights, resolve(spec), x, train=True, drop_rng=rng)
+    train_logits, _ = _forward_batch(weights, resolve(spec), x, rng)
     assert not np.array_equal(eval_logits, train_logits)
     eval_again, _ = _forward_batch(weights, resolve(spec), x)
     np.testing.assert_array_equal(eval_logits, eval_again)

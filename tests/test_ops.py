@@ -387,6 +387,32 @@ def test_relu_backward_reads_its_output_as_its_input(dtype, data):
         assert ops.relu_backward(y, g, out=y) is y and y.tobytes() == want
 
 
+@pytest.mark.parametrize("xtype", [np.float32, np.float64])
+@pytest.mark.parametrize("gtype", [np.float32, np.float64])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_relu_backward_is_the_bool_gate_bit_for_bit(xtype, gtype, data):
+    # The reverse sweep and the path count gate a ReLU through this one op,
+    # which must give the bytes of the product with a bool mask however it
+    # is called. A float32 trace gating float64 counts is the path count's use.
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0]
+    x = np.concatenate([np.array(specials, xtype), data.draw(arrays(
+        xtype, st.integers(0, 32), elements=st.floats(width=np.finfo(xtype).bits)))])
+    g = data.draw(arrays(gtype, x.shape, elements=st.one_of(
+        st.floats(width=np.finfo(gtype).bits), st.sampled_from(specials))))
+    with np.errstate(invalid="ignore"):  # an infinite grad times a closed gate is NaN
+        want = (g * (x > 0)).tobytes()
+        assert ops.relu_backward(x, g).tobytes() == want
+        out = np.empty_like(g)
+        assert ops.relu_backward(x, g, out=out) is out and out.tobytes() == want
+        if xtype is gtype:  # over its own input, as a workspace's reverse sweep does
+            xc = x.copy()
+            assert ops.relu_backward(xc, g, out=xc) is xc and xc.tobytes() == want
+        # a [C,H,W] trace output onto [1,C,H,W] counts
+        gated = ops.relu_backward(x.reshape(1, 1, -1), g.reshape(1, 1, 1, -1))
+        assert gated.shape == (1, 1, 1, len(x)) and gated.tobytes() == want
+
+
 @pytest.mark.parametrize("stride, padding, window", [(1, 1, 2), (2, 0, 3), (1, 2, 1)])
 def test_ops_write_into_out_what_they_return(stride, padding, window):
     rng = np.random.default_rng(stride * 10 + padding)
