@@ -36,6 +36,12 @@ run where workers outnumber images. Each rerun's reports are compared with
 the battery's own, without the `*_config.json` sidecars, which record the
 worker count.
 
+The parent runs this working tree's BATTERY, so the battery can check only
+what both trees run. An entry that uses a command, flag or kind that only
+this tree has stops the parent's run with exit 2 (argparse reports an
+`invalid choice`). A change that adds one tests it in pytest, and its battery
+entry lands with the next change, whose parent has it.
+
 Prints one line per file: its status, its path and both sha256 values.
 Exits 0 when every file is identical or its difference matches an
 --expect-diff glob (matched against the printed path); 1 on any other

@@ -109,9 +109,9 @@ _IDX_BLOCK = 256
 
 def write_idx(dataset: Dataset, images_path, labels_path) -> None:
     """Inverse of load_idx; pixels are quantized with round(v*255), clipped to
-    [0, 255]. The images are quantized one block at a time through one float
-    buffer of the images' arithmetic dtype into the uint8 pixels, whose
-    buffer is written as it is."""
+    [0, 255], and a NaN pixel is an ArgumentError. The images are quantized
+    one block at a time through one float buffer of the images' arithmetic
+    dtype into the uint8 pixels, whose buffer is written as it is."""
     images = dataset.images
     n, c, h, w = images.shape
     if c != 1:
@@ -123,6 +123,9 @@ def write_idx(dataset: Dataset, images_path, labels_path) -> None:
     for start in range(0, n, _IDX_BLOCK):
         b = block[:min(_IDX_BLOCK, n - start)]
         np.multiply(images[start:start + len(b), 0], 255.0, out=b)
+        if np.isnan(b.max()):
+            raise ArgumentError(f"image {start + int(np.isnan(b).any(axis=(1, 2)).argmax())} "
+                                "has a NaN pixel, which IDX cannot store")
         np.rint(b, out=b)
         np.clip(b, 0, 255, out=b)
         pixels[start:start + len(b)] = b

@@ -528,7 +528,8 @@ def evaluate_accuracy(weights, spec, dataset) -> float:
 # --- persistence ---
 
 # The LayerSpec fields each layer kind persists in the model header; each is
-# read back with the type LayerSpec declares for it.
+# written and read back with the type LayerSpec declares for it, so that
+# dropout(0) saves as the 0.0 it loads as.
 _LAYER_FIELDS = {
     "conv": ("out_channels", "kernel", "stride", "padding"),
     "relu": (),
@@ -541,37 +542,34 @@ _FIELD_TYPES = get_type_hints(LayerSpec)
 
 
 def _layer_to_json(layer: LayerSpec) -> dict:
-    return {"kind": layer.kind, **{f: getattr(layer, f) for f in _LAYER_FIELDS[layer.kind]}}
+    return {"kind": layer.kind,
+            **{f: _FIELD_TYPES[f](getattr(layer, f)) for f in _LAYER_FIELDS[layer.kind]}}
 
 
-def _layer_from_json(d) -> LayerSpec:
-    kind = d.get("kind") if isinstance(d, dict) else None
-    if not isinstance(kind, str) or kind not in _LAYER_FIELDS:
-        raise FormatError(f"unknown layer kind {kind!r} in model header")
-    try:
-        return LayerSpec(kind, **{f: _FIELD_TYPES[f](d[f]) for f in _LAYER_FIELDS[kind]})
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"bad layer entry {d!r}: {e}") from e
+def _header(spec: ModelSpec) -> bytes:
+    """The model header: compact JSON with sorted keys, whose tensor table is
+    param_shapes(spec) in layer order. save_model writes it and load_model
+    accepts only it."""
+    header = {
+        "input_shape": list(spec.input_shape),
+        "num_classes": spec.num_classes,
+        "layers": [_layer_to_json(l) for l in spec.layers],
+        "tensors": [{"name": n, "shape": list(s)} for n, s in param_shapes(spec).items()],
+    }
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def serialize_model(weights: dict[str, np.ndarray], spec: ModelSpec) -> bytes:
     """NPSC container: magic, version byte, u32-LE length-prefixed JSON header,
     then each tensor as raw little-endian float32 in layer (declaration) order."""
     _check_weights(weights, spec)
-    order = [r.name for r in resolve(spec) if _param_shape(r) is not None]
-    header = {
-        "input_shape": list(spec.input_shape),
-        "num_classes": spec.num_classes,
-        "layers": [_layer_to_json(l) for l in spec.layers],
-        "tensors": [{"name": n, "shape": list(weights[n].shape)} for n in order],
-    }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = _header(spec)
     buf = io.BytesIO()
     buf.write(_MAGIC)
     buf.write(bytes([_VERSION]))
     buf.write(struct.pack("<I", len(blob)))
     buf.write(blob)
-    for n in order:
+    for n in param_shapes(spec):
         buf.write(np.ascontiguousarray(weights[n], dtype="<f4").tobytes())
     return buf.getvalue()
 
@@ -583,6 +581,8 @@ def save_model(weights: dict[str, np.ndarray], spec: ModelSpec, path) -> None:
 
 
 def load_model(path) -> tuple[ModelSpec, dict[str, np.ndarray]]:
+    """Loads a file only in the form save_model writes, so its sha256 is the
+    model_digest of what it loads as."""
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < 9 or data[:4] != _MAGIC:
@@ -592,29 +592,27 @@ def load_model(path) -> tuple[ModelSpec, dict[str, np.ndarray]]:
     (hlen,) = struct.unpack("<I", data[5:9])
     if 9 + hlen > len(data):
         raise FormatError(f"{path}: truncated header")
+    blob = data[9:9 + hlen]
     try:
-        header = json.loads(data[9:9 + hlen].decode("utf-8"))
+        header = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: unreadable header: {e}") from e
     try:
         spec = ModelSpec(
             input_shape=tuple(int(v) for v in header["input_shape"]),
             num_classes=int(header["num_classes"]),
-            layers=tuple(_layer_from_json(l) for l in header["layers"]),
+            layers=tuple(LayerSpec(l["kind"], **{f: _FIELD_TYPES[f](l[f])
+                                                 for f in _LAYER_FIELDS[l["kind"]]})
+                         for l in header["layers"]),
         )
-        tensor_entries = [(str(t["name"]), tuple(int(v) for v in t["shape"]))
-                          for t in header["tensors"]]
-    except (KeyError, TypeError, ValueError) as e:
+        canonical = _header(spec)
+    except (KeyError, TypeError, ValueError, OverflowError, SpecError) as e:
         raise FormatError(f"{path}: malformed header: {e}") from e
-    try:
-        expected = param_shapes(spec)
-    except SpecError as e:
-        raise FormatError(f"{path}: header spec does not compose: {e}") from e
-    if dict(tensor_entries) != expected:
-        raise FormatError(f"{path}: tensor table {tensor_entries} does not match spec {expected}")
+    if blob != canonical:
+        raise FormatError(f"{path}: header is not what save_model writes for its spec")
     weights: dict[str, np.ndarray] = {}
     off = 9 + hlen
-    for name, shape in tensor_entries:
+    for name, shape in param_shapes(spec).items():
         nbytes = int(np.prod(shape)) * 4
         if off + nbytes > len(data):
             raise FormatError(f"{path}: truncated tensor {name}")

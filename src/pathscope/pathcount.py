@@ -53,7 +53,8 @@ class ClipConfig:
     """Threshold test applied to fully-connected weights during counting.
 
     mode "absolute": keep |w| > threshold.
-    mode "mean": keep |w| > mean(|w|) of that layer; `threshold` is ignored.
+    mode "mean": keep |w| > mean(|w|) of that layer; it takes no threshold,
+    so `threshold` must stay 0.
     Convolution weights are never clipped (plain |w| > 0 test).
     """
 
@@ -65,6 +66,8 @@ class ClipConfig:
             raise ArgumentError(f"clip mode must be 'absolute' or 'mean', got {self.mode!r}")
         if not (np.isfinite(self.threshold) and self.threshold >= 0):
             raise ArgumentError(f"clip threshold must be finite and >= 0, got {self.threshold}")
+        if self.mode == "mean" and self.threshold != 0:
+            raise ArgumentError(f"clip mode 'mean' takes no threshold, got {self.threshold}")
 
 
 @dataclass(frozen=True)

@@ -295,6 +295,23 @@ def test_corrupt_model_file_exits_2(conv_fixture, tmp_path):
                "--data-labels", labels, "--out", str(tmp_path / "o")) == 2
 
 
+def test_model_header_with_a_coerced_value_exits_2_without_writing(conv_fixture, tmp_path,
+                                                                     capsys):
+    # a coerced "kernel": 3.9 would run a 3x3 conv under a model_sha256 that
+    # is not the file's
+    model, images, labels = conv_fixture
+    blob = open(model, "rb").read()
+    (hlen,) = struct.unpack("<I", blob[5:9])
+    header = blob[9:9 + hlen].replace(b'"kernel":3,', b'"kernel":3.9,')
+    assert header != blob[9:9 + hlen]
+    bad = tmp_path / "bad.npsc"
+    bad.write_bytes(blob[:5] + struct.pack("<I", len(header)) + header + blob[9 + hlen:])
+    assert run("eval", "--model", str(bad), "--data-images", images,
+               "--data-labels", labels, "--out", str(tmp_path / "o")) == 2
+    assert "not what save_model writes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_non_finite_model_weights_exit_2(conv_fixture, tmp_path, capsys):
     _, images, labels = conv_fixture
     spec = ModelSpec((1, 6, 6), 3, (conv(2), relu(), maxpool(), flatten(), fc(3)))
@@ -552,6 +569,10 @@ def test_negative_seed_exits_2(conv_fixture, tmp_path, capsys, command):
     ("eval", ["--synthetic", "--scale-min", "1.0", "--scale-max", "0.9"]),
     ("replace-sweep", ["--clip-threshold", "nan"]),
     ("replace-sweep", ["--kinds", ","]),
+    # the mean clip takes no threshold, so none is recorded in a report
+    ("pathcount", ["--clip-mode", "mean", "--clip-threshold", "0.5"]),
+    ("replace-sweep", ["--clip-mode", "mean", "--clip-threshold", "0.5"]),
+    ("correlate", ["--clip-mode", "mean", "--clip-threshold", "0.5"]),
 ])
 def test_bad_numeric_or_empty_value_exits_2(conv_fixture, desk_fixture, tmp_path, capsys,
                                             command, args):

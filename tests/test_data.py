@@ -102,7 +102,7 @@ def test_write_idx_quantizes_by_blocks_as_one_whole_array_would(tmp_path, n, dty
     flat = images.reshape(-1)
     special = np.concatenate([(np.arange(256) + 0.5) / 255,  # rounding ties
                               [-0.0, -1e-7, np.nextafter(0, -1), 1 + 1e-7,
-                               np.nextafter(1, 2), 1.0, 0.0]]).astype(dtype)
+                               np.nextafter(1, 2), 1.0, 0.0, np.inf, -np.inf]]).astype(dtype)
     flat[:special.size] = special[:flat.size]
     labels = rng.integers(0, 10, n)
     ps.write_idx(ps.Dataset(images, labels, 10), tmp_path / "im", tmp_path / "lb")
@@ -128,6 +128,16 @@ def test_write_idx_rejects_a_label_past_a_byte(tmp_path):
         ps.write_idx(ps.Dataset(images, np.array([3, 300]), 301),
                      tmp_path / "im2", tmp_path / "lb2")
     assert not (tmp_path / "im2").exists() and not (tmp_path / "lb2").exists()
+
+
+@pytest.mark.parametrize("index", [0, B + 2])
+def test_write_idx_rejects_a_nan_pixel_and_writes_nothing(tmp_path, index):
+    images = np.zeros((B + 3, 1, 2, 2), dtype=np.float32)
+    images[index, 0, 1, 0] = np.nan
+    with pytest.raises(ArgumentError, match=f"image {index} has a NaN pixel"):
+        ps.write_idx(ps.Dataset(images, np.zeros(B + 3, dtype=np.int64), 10),
+                     tmp_path / "im", tmp_path / "lb")
+    assert not (tmp_path / "im").exists() and not (tmp_path / "lb").exists()
 
 
 def test_blobs_deterministic_and_bounded():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 import struct
@@ -557,6 +558,17 @@ def test_save_load_round_trip(tmp_path, small_conv_model):
     assert (tmp_path / "m.npsc").read_bytes() == (tmp_path / "m2.npsc").read_bytes()
 
 
+def test_an_integer_dropout_rate_saves_as_the_float_it_loads_as(tmp_path):
+    spec = ps.ModelSpec((1, 2, 2), 2, (ps.flatten(), ps.dropout(0), ps.fc(2)))
+    weights = ps.build_model(spec, 0)
+    p = tmp_path / "m.npsc"
+    ps.save_model(weights, spec, p)
+    got_spec, got_weights = ps.load_model(p)
+    assert got_spec == spec and type(got_spec.layers[1].rate) is float
+    digest = hashlib.sha256(p.read_bytes()).hexdigest()
+    assert digest == ps.model_digest(got_weights, got_spec) == ps.model_digest(weights, spec)
+
+
 def test_loaded_model_reproduces_logits(tmp_path, small_conv_model):
     spec, weights = small_conv_model
     x = np.random.default_rng(31).random(spec.input_shape).astype(np.float32)
@@ -637,13 +649,22 @@ def test_desk_asset_round_trips_to_its_own_bytes():
     assert serialize_model(weights, spec) == path.read_bytes()
 
 
-def _with_layer(blob: bytes, entry, index: int = 0) -> bytes:
-    """`blob` with its header's layer entry `index` replaced by `entry`."""
+_COMPACT = (",", ":")
+
+
+def _with_header(blob: bytes, edit, separators=_COMPACT) -> bytes:
+    """`blob` with its header passed through `edit`, written back with sorted
+    keys and `separators`, so that only what `edit` changes differs."""
     (hlen,) = struct.unpack("<I", blob[5:9])
     header = json.loads(blob[9:9 + hlen])
-    header["layers"][index] = entry
-    new = json.dumps(header).encode("utf-8")
+    edit(header)
+    new = json.dumps(header, sort_keys=True, separators=separators).encode("utf-8")
     return blob[:5] + struct.pack("<I", len(new)) + new + blob[9 + hlen:]
+
+
+def _with_layer(blob: bytes, entry, index: int = 0) -> bytes:
+    """`blob` with its header's layer entry `index` replaced by `entry`."""
+    return _with_header(blob, lambda h: h["layers"].__setitem__(index, entry))
 
 
 @pytest.mark.parametrize("entry", [
@@ -655,6 +676,13 @@ def _with_layer(blob: bytes, entry, index: int = 0) -> bytes:
     {"kind": "conv", "kernel": 3, "stride": 1, "padding": 1},
     {"kind": "conv", "out_channels": "two", "kernel": 3, "stride": 1, "padding": 1},
     {"kind": "conv", "out_channels": None, "kernel": 3, "stride": 1, "padding": 1},
+    # coerced, each of these would read as the fixture's own conv layer
+    {"kind": "conv", "out_channels": 2, "kernel": 3.9, "stride": 1, "padding": 1},
+    {"kind": "conv", "out_channels": 2, "kernel": "3", "stride": 1, "padding": 1},
+    {"kind": "conv", "out_channels": 2.0, "kernel": 3, "stride": 1, "padding": 1},
+    {"kind": "conv", "out_channels": 2, "kernel": 3, "stride": 1, "padding": 1.5},
+    {"kind": "conv", "out_channels": 2, "kernel": 3, "stride": True, "padding": 1},
+    {"kind": "conv", "out_channels": 2, "kernel": float("inf"), "stride": 1, "padding": 1},
 ])
 def test_load_rejects_bad_layer_entry(tmp_path, small_conv_model, entry):
     spec, weights = small_conv_model
@@ -662,6 +690,46 @@ def test_load_rejects_bad_layer_entry(tmp_path, small_conv_model, entry):
     bad.write_bytes(_with_layer(serialize_model(weights, spec), entry))
     with pytest.raises(FormatError):
         ps.load_model(bad)
+
+
+@pytest.mark.parametrize("edit, separators", [
+    pytest.param(lambda h: h.update(num_classes=10.7), _COMPACT, id="num_classes"),
+    pytest.param(lambda h: h.update(input_shape=[1, 28.5, 28]), _COMPACT, id="input_shape"),
+    pytest.param(lambda h: h["tensors"][0]["shape"].__setitem__(2, 3.0), _COMPACT,
+                 id="tensor_shape"),
+    pytest.param(lambda h: h["tensors"].reverse(), _COMPACT, id="tensor_order"),
+    pytest.param(lambda h: h.update(comment="x"), _COMPACT, id="extra_key"),
+    pytest.param(lambda h: h["layers"][1].update(rate=0.0), _COMPACT, id="relu_rate"),
+    pytest.param(lambda h: None, (", ", ": "), id="spaced_json"),
+])
+def test_load_rejects_a_header_save_model_would_not_write(tmp_path, edit, separators):
+    # read leniently, each of these would load as the desk model, under a
+    # model_sha256 that is not the file's
+    spec = desk_spec()
+    blob = serialize_model(ps.build_model(spec, 0), spec)
+    bad = tmp_path / "bad.npsc"
+    bad.write_bytes(_with_header(blob, edit, separators))
+    assert bad.read_bytes() != blob
+    with pytest.raises(FormatError):
+        ps.load_model(bad)
+
+
+@given(trainable_stacks(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_loadable_file_is_its_own_digest(tmp_path_factory, spec, data):
+    # Any file that loads at all is what save_model writes for what it loads
+    # as: true of a saved file, and of one with a header byte changed.
+    blob = bytearray(serialize_model(ps.build_model(spec, 0), spec))
+    (hlen,) = struct.unpack("<I", blob[5:9])
+    if data.draw(st.booleans()):
+        blob[data.draw(st.integers(9, 8 + hlen))] = ord(data.draw(st.sampled_from('0123.e -,"')))
+    path = tmp_path_factory.getbasetemp() / "digest.npsc"
+    path.write_bytes(blob)
+    try:
+        got_spec, got_weights = ps.load_model(path)
+    except FormatError:
+        return
+    assert hashlib.sha256(blob).hexdigest() == ps.model_digest(got_weights, got_spec)
 
 
 @pytest.mark.parametrize("index, entry", [

@@ -164,11 +164,12 @@ def test_clip_mean_mode_on_equal_magnitudes_is_all_zero():
     np.testing.assert_array_equal(mask, np.zeros((3, 4)))
 
 
-def test_clip_mean_mode_ignores_threshold_field():
+def test_clip_mean_mode_takes_no_threshold():
     w = np.array([[1.0, 3.0], [-2.0, 2.0]])  # mean |w| = 2
     expected = [[0, 1], [0, 0]]
     np.testing.assert_array_equal(clip_fc_weights(w, ClipConfig("mean")), expected)
-    np.testing.assert_array_equal(clip_fc_weights(w, ClipConfig("mean", 99.0)), expected)
+    with pytest.raises(ArgumentError, match="takes no threshold"):
+        ClipConfig("mean", 99.0)
 
 
 def test_clip_config_validation():
