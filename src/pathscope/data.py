@@ -103,7 +103,8 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(images, labels, int(labels.max()) + 1 if n else 10)
 
 
-# Images quantized at a time by write_idx: its float buffer holds this many.
+# Images quantized at a time by write_idx (its float buffer holds this many),
+# and digits drawn at a time by synthetic_digits.
 _IDX_BLOCK = 256
 
 
@@ -242,11 +243,17 @@ def synthetic_digits(
 
     Classes are shape-coded (not position-coded), so a digit is still
     recognizable after downscaling into a tile of a composite image.
+
+    Without noise, the digits are decoded from the random stream read a block
+    at a time (see _digits_read_ahead); they are the bytes that drawing them
+    one at a time (_digits_one_at_a_time) gives.
     """
     if n < 1:
         raise ArgumentError("need at least one sample")
     if not 0.0 <= small_fraction <= 1.0:
         raise ArgumentError(f"small fraction must be in [0, 1], got {small_fraction}")
+    if not (np.isfinite(noise) and noise >= 0.0):
+        raise ArgumentError(f"noise must be finite and >= 0, got {noise}")
     for lo, hi in [scale_range] + ([small_range] if small_fraction > 0.0 else []):
         if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo <= hi):
             raise ArgumentError(f"scale range ({lo}, {hi}) must be finite with 0 < min <= max")
@@ -257,8 +264,21 @@ def synthetic_digits(
     rng = np.random.default_rng(seed)
     labels = (np.arange(n) % 10).astype(np.int64)
     rng.shuffle(labels)
-    images = np.zeros((n, 1, image_hw, image_hw), dtype=np.float32)
-    for i in range(n):
+    state = rng.bit_generator.state
+    images = None if noise else _digits_read_ahead(rng, labels, image_hw, scale_range,
+                                                   small_fraction, small_range)
+    if images is None:  # noise, or a draw the stream cannot be decoded past
+        rng.bit_generator.state = state
+        images = _digits_one_at_a_time(rng, labels, image_hw, scale_range, noise,
+                                       small_fraction, small_range)
+    return Dataset(images, labels, 10)
+
+
+def _digits_one_at_a_time(rng, labels, image_hw, scale_range, noise,
+                          small_fraction, small_range) -> np.ndarray:
+    """The images drawn digit by digit through the Generator's methods."""
+    images = np.zeros((len(labels), 1, image_hw, image_hw), dtype=np.float32)
+    for i in range(len(labels)):
         if small_fraction > 0.0 and rng.uniform() < small_fraction:
             s = rng.uniform(small_range[0], small_range[1])
         else:
@@ -275,7 +295,145 @@ def synthetic_digits(
         if noise > 0:
             img += rng.normal(0.0, noise, img.shape).astype(np.float32)
     np.clip(images, 0.0, 1.0, out=images)
-    return Dataset(images, labels, 10)
+    return images
+
+
+# _DIGIT_SEGMENTS as arrays: each digit's segment count, and its segments'
+# unit boxes (r0, r1, c0, c1) padded with empty slots to the largest count.
+_SEG_COUNT = np.array([len(_DIGIT_SEGMENTS[d]) for d in range(10)])
+_SEG_BOX = np.array([[_SEGMENTS[name] for name in _DIGIT_SEGMENTS[d]]
+                     + [(0.0, 0.0, 0.0, 0.0)] * (_SEG_COUNT.max() - _SEG_COUNT[d])
+                     for d in range(10)])
+# rng.integers(-_JITTER, _JITTER + 1) draws a 32-bit u and returns
+# ((u * span) >> 32) - _JITTER, Lemire's method, unless the low 32 bits of
+# u * span fall below 2**32 % span: then it rejects u and draws again.
+_SPAN = 2 * _JITTER + 1
+
+
+def _jitter(draws: np.ndarray) -> np.ndarray | None:
+    """rng.integers(-_JITTER, _JITTER + 1) for each 32-bit draw, or None if it
+    would reject one of them."""
+    m = draws.astype(np.int64) * _SPAN
+    high = m >> 32
+    if (m - (high << 32) < 2**32 % _SPAN).any():
+        return None
+    return high - _JITTER
+
+
+def _uniform(lo, hi, d):
+    """rng.uniform(lo, hi) of the double d that rng.uniform() would return."""
+    lo, hi = float(lo), float(hi)
+    return lo + (hi - lo) * d
+
+
+def _digits_read_ahead(rng, labels, image_hw, scale_range, small_fraction,
+                       small_range) -> np.ndarray | None:
+    """_digits_one_at_a_time without noise, from the same PCG64 words read
+    _IDX_BLOCK digits at a time, or None where a jitter draw would be
+    rejected (about one in 10**9), as the words it takes are not known ahead.
+
+    Each digit takes, in the loop's order: its small-fraction double (only if
+    small_fraction > 0), scale, one thickness double per segment, shear, one
+    word for its two jitter integers, and intensity. A double is
+    (word >> 11) * 2**-53. The jitter integers are 32-bit halves, low half
+    first; a half the shuffle left buffered in the generator comes first of
+    all, so each digit's second integer and the next digit's first then share
+    a word.
+    """
+    images = np.zeros((len(labels), 1, image_hw, image_hw), dtype=np.float32)
+    state = rng.bit_generator.state
+    buffered = np.array([state["uinteger"]] if state["has_uint32"] else [], np.uint32)
+    for start in range(0, len(labels), _IDX_BLOCK):
+        buffered = _block_read_ahead(rng, labels[start:start + _IDX_BLOCK],
+                                     images[start:start + _IDX_BLOCK], buffered,
+                                     scale_range, small_fraction, small_range)
+        if buffered is None:
+            return None
+    return images
+
+
+def _block_read_ahead(rng, labels, images, buffered, scale_range, small_fraction,
+                      small_range) -> np.ndarray | None:
+    """Draw the digits of `labels` into `images`; returns the 32-bit half
+    left buffered after them, or None where a jitter draw would be rejected."""
+    image_hw = images.shape[-1]
+    extra = int(small_fraction > 0.0)
+    nseg = _SEG_COUNT[labels]
+    end = np.cumsum(nseg + extra + 4)
+    first = end - (nseg + extra + 4)
+    words = rng.bit_generator.random_raw(int(end[-1]))
+    d = (words >> 11) * 2.0**-53
+    scale_at = first + extra
+    after_segments = scale_at + 1 + nseg  # shear, jitter word, intensity
+    s = _uniform(*scale_range, d[scale_at])
+    if extra:
+        s = np.where(d[first] < small_fraction, _uniform(*small_range, d[scale_at]), s)
+    box_h = np.maximum(6, np.rint(20 * s)).astype(np.int64)  # _digit_box
+    box_w = np.maximum(4, np.rint(12 * s)).astype(np.int64)
+    thickness = np.take(d, scale_at[:, None] + 1 + np.arange(_SEG_BOX.shape[1]), mode="clip")
+    bounds = _segment_bounds(labels, thickness, box_h, box_w)
+    shear = _uniform(-_SHEAR_MAX, _SHEAR_MAX, d[after_segments])
+    # each word's 32-bit halves, low half first
+    halves = words[after_segments + 1].astype("<u8", copy=False).view("<u4")
+    draws = np.concatenate([buffered, halves])
+    jitter = _jitter(draws[:2 * len(labels)])
+    if jitter is None:
+        return None
+    # (image_hw - box) // 2 as a shift: every box fits the image
+    top = np.clip(((image_hw - box_h) >> 1) + jitter[0::2], 0, image_hw - box_h)
+    left = np.clip(((image_hw - box_w) >> 1) + jitter[1::2], 0, image_hw - box_w)
+    intensity = _uniform(0.75, 1.0, d[after_segments + 2]).astype(np.float32)
+    boxes = _raster(*bounds, shear, box_h, int(box_w.max())) * intensity[:, None, None]
+    for img, box, t, l, h, w in zip(images, boxes, *(
+            a.tolist() for a in (top, left, box_h, box_w))):
+        img[0, t:t + h, l:l + w] = box[:h, :w]
+    return draws[2 * len(labels):]
+
+
+def _segment_bounds(labels, thickness, box_h, box_w):
+    """Pixel bounds r0, r1, c0, c1 of each [B, slots] segment as _digit_mask
+    draws it with `thickness` doubles: the jitter factor widens or narrows the
+    cross-section (a horizontal bar's rows, a vertical bar's columns), and
+    each bound is rounded, at least one pixel wide and inside the box."""
+    factor = _uniform(1.0 - _THICKNESS_JITTER, 1.0 + _THICKNESS_JITTER, thickness)
+    r0f, r1f, c0f, c1f = np.moveaxis(_SEG_BOX[labels], -1, 0)
+    horizontal = r1f - r0f < 0.5
+    lo, hi = np.where(horizontal, r0f, c0f), np.where(horizontal, r1f, c1f)
+    mid, half = (lo + hi) / 2, (hi - lo) / 2 * factor
+    lo, hi = np.maximum(mid - half, 0.0), np.minimum(mid + half, 1.0)
+    r0, r1 = _pixel_bounds(np.where(horizontal, lo, r0f), np.where(horizontal, hi, r1f), box_h)
+    c0, c1 = _pixel_bounds(np.where(horizontal, c0f, lo), np.where(horizontal, c1f, hi), box_w)
+    r1[np.arange(r1.shape[1]) >= _SEG_COUNT[labels][:, None]] = 0  # empty slots
+    return r0, r1, c0, c1
+
+
+def _pixel_bounds(f0, f1, size):
+    """[e0, e1) in pixels of unit bounds [f0, f1) in a box `size` wide."""
+    e0 = np.rint(f0 * size[:, None])
+    return e0, np.minimum(np.maximum(e0 + 1, np.rint(f1 * size[:, None])), size[:, None])
+
+
+def _raster(r0, r1, c0, c1, shear, box_h, width) -> np.ndarray:
+    """[B, max(box_h), width] bool boxes, set on each digit's sheared
+    segments; only each digit's own [:box_h, :box_w] corner is its box.
+
+    Segments are the boxes [r0, r1) x [c0, c1) of each [B, slots] row;
+    _shear_rows shifts row r by round(shear * (r - box_h / 2)).
+    """
+    b, height = len(box_h), int(box_h.max())
+    rows = np.arange(height)
+    shift = np.rint(shear[:, None] * (rows - box_h[:, None] / 2))
+    pad = int(np.abs(shift).max())
+    shift = shift.astype(np.int64)
+    cols = np.arange(-pad, width + pad)
+    # a pixel of the unsheared box, `pad` empty columns on either side, is
+    # set where its row and its column share a segment: a bool matmul
+    on_row = (r0[:, None] <= rows[:, None]) & (rows[:, None] < r1[:, None])
+    on_col = (c0[..., None] <= cols) & (cols < c1[..., None])
+    unsheared = np.matmul(on_row, on_col)
+    # out[r, c] = unsheared[r, c + shift[r]]: each row reads its window
+    windows = np.lib.stride_tricks.sliding_window_view(unsheared, width, axis=2)
+    return windows[np.arange(b)[:, None], rows, shift + pad]
 
 
 def subsample(dataset: Dataset, n: int, seed: int = 0) -> Dataset:

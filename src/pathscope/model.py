@@ -91,9 +91,19 @@ def resolve(spec: ModelSpec) -> tuple[ResolvedLayer, ...]:
     return spec._resolved
 
 
+def _require_int(value, what: str) -> None:
+    """Geometry is counted in whole pixels and units: a float or a bool is a
+    SpecError here, not a bare TypeError or a fractional shape later."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+
+
 def _resolve(spec: ModelSpec) -> tuple[ResolvedLayer, ...]:
+    for d in spec.input_shape:
+        _require_int(d, "input shape entry")
     if len(spec.input_shape) != 3 or any(d < 1 for d in spec.input_shape):
         raise SpecError(f"input shape must be [C,H,W] positive, got {spec.input_shape}")
+    _require_int(spec.num_classes, "num_classes")
     if spec.num_classes < 2:
         raise SpecError(f"need at least 2 classes, got {spec.num_classes}")
     counters = {"conv": 0, "maxpool": 0, "dropout": 0, "flatten": 0, "fc": 0, "relu": 0}
@@ -101,8 +111,11 @@ def _resolve(spec: ModelSpec) -> tuple[ResolvedLayer, ...]:
     shape: tuple[int, ...] = spec.input_shape
     prev_name = ""
     prev_kind = ""
-    for layer in spec.layers:
+    for i, layer in enumerate(spec.layers):
         k = layer.kind
+        for f in _LAYER_FIELDS.get(k, ()):
+            if _FIELD_TYPES[f] is int:
+                _require_int(getattr(layer, f), f"layer {i} ({k}) {f}")
         if k == "conv":
             if len(shape) != 3:
                 raise SpecError(f"conv needs a [C,H,W] input, got {shape}")
@@ -551,10 +564,10 @@ def _header(spec: ModelSpec) -> bytes:
     param_shapes(spec) in layer order. save_model writes it and load_model
     accepts only it."""
     header = {
-        "input_shape": list(spec.input_shape),
-        "num_classes": spec.num_classes,
+        "input_shape": [int(d) for d in spec.input_shape],
+        "num_classes": int(spec.num_classes),
         "layers": [_layer_to_json(l) for l in spec.layers],
-        "tensors": [{"name": n, "shape": list(s)} for n, s in param_shapes(spec).items()],
+        "tensors": [{"name": n, "shape": [int(d) for d in s]} for n, s in param_shapes(spec).items()],
     }
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 

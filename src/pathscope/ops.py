@@ -233,7 +233,7 @@ def maxpool_forward_batch(x, window: int, stride: int, out=None):
                 # only grow in window order, so a win sets the offset outright
                 wins = ~(v <= y) & (y == y)
                 np.maximum(y, v, out=y)
-                np.copyto(routing, ky * w + kx, where=wins)
+                np.putmask(routing, wins, ky * w + kx)
     routing += _window_starts(c, h, w, oh, ow, stride)
     # the maxima themselves, gathered through routing offset to each sample
     batch = (np.arange(b) * (c * h * w)).reshape(b, 1, 1, 1)

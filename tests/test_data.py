@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import example
 from hypothesis import strategies as st
 
 import pathscope as ps
@@ -306,6 +307,99 @@ def test_digits_equal_the_first_generator_byte_for_byte(n, seed, kwargs):
     images, labels = synthetic_digits_oracle(n, seed, **kwargs)
     assert ds.images.dtype == images.dtype and ds.images.tobytes() == images.tobytes()
     assert ds.labels.dtype == labels.dtype and ds.labels.tobytes() == labels.tobytes()
+
+
+def _shuffle_leaves_a_half_word(n, seed):
+    """Whether synthetic_digits' label shuffle leaves PCG64 holding a 32-bit
+    half word, which the first jitter integer then takes."""
+    rng = np.random.default_rng(seed)
+    rng.shuffle(np.arange(n) % 10)
+    return bool(rng.bit_generator.state["has_uint32"])
+
+
+@st.composite
+def digit_kwargs(draw):
+    image_hw = draw(st.integers(12, 40))
+    # any scale up to this draws a box that fits the image
+    top = (image_hw - 0.5) / 20
+    hi = draw(st.floats(0.05, top))
+    small_hi = draw(st.floats(0.05, top))
+    return {"image_hw": image_hw, "scale_range": (draw(st.floats(0.05, hi)), hi),
+            "small_fraction": draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+            "small_range": (draw(st.floats(0.05, small_hi)), small_hi)}
+
+
+@given(st.integers(1, 600), st.integers(0, 2**32 - 1), digit_kwargs())
+@example(300, 0, {"small_fraction": 0.15})  # the shuffle leaves a half word
+@example(300, 1, {"small_fraction": 0.15})  # and here none
+@settings(max_examples=40, deadline=None)
+def test_digits_read_ahead_equal_the_first_generator(n, seed, kwargs):
+    # blocks of _IDX_BLOCK digits split anywhere in 1..600
+    ds = ps.synthetic_digits(n, seed, **kwargs)
+    images, labels = synthetic_digits_oracle(n, seed, **kwargs)
+    assert ds.images.tobytes() == images.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
+
+
+def test_pinned_digit_examples_cover_both_buffer_states():
+    assert _shuffle_leaves_a_half_word(300, 0)
+    assert not _shuffle_leaves_a_half_word(300, 1)
+
+
+def test_jitter_decodes_what_integers_draws():
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    want = [int(a.integers(-data._JITTER, data._JITTER + 1)) for _ in range(4000)]
+    words = b.bit_generator.random_raw(2000)
+    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()  # draw order
+    assert data._jitter(halves).tolist() == want
+
+
+@pytest.mark.parametrize("leftover", range(data._SPAN))
+def test_jitter_rejects_the_draws_integers_rejects(leftover):
+    # A buffered half u with u * span = leftover (mod 2**32): integers()
+    # returns u's value unless it rejects u and takes the next word's low half.
+    u = leftover * pow(data._SPAN, -1, 2**32) % 2**32
+    rng = np.random.default_rng(0)
+    next_low = np.random.default_rng(0).bit_generator.random_raw(1) & 0xFFFFFFFF
+    rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1, "uinteger": u}
+    got = int(rng.integers(-data._JITTER, data._JITTER + 1))
+    decoded = data._jitter(np.array([u], dtype=np.uint64))
+    assert (decoded is None) == (leftover < 2**32 % data._SPAN)
+    assert got == (data._jitter(next_low) if decoded is None else decoded)[0]
+
+
+@pytest.mark.parametrize("rejecting_block", [1, 2, 3])
+def test_a_rejected_jitter_draw_draws_every_digit_one_at_a_time(monkeypatch, rejecting_block):
+    decode, calls = data._jitter, []
+
+    def reject_once(draws):
+        calls.append(len(draws))
+        return None if len(calls) == rejecting_block else decode(draws)
+
+    monkeypatch.setattr(data, "_jitter", reject_once)
+    ds = ps.synthetic_digits(600, 1, small_fraction=0.15)
+    images, labels = synthetic_digits_oracle(600, 1, small_fraction=0.15)
+    assert len(calls) == rejecting_block  # reading ahead stopped there
+    assert ds.images.tobytes() == images.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
+
+
+def test_noiseless_digits_are_read_ahead(monkeypatch):
+    # the oracle comparisons above cover the read-ahead path, not the loop
+    monkeypatch.setattr(data, "_digits_one_at_a_time", None)
+    assert len(ps.synthetic_digits(300, 0, small_fraction=0.15)) == 300
+
+
+def test_digits_hold_their_images_and_one_block():
+    # no temporary grows with n: the peak is the output plus one block's work
+    ds, peak = traced_peak(lambda: ps.synthetic_digits(2000))
+    assert peak < ds.images.nbytes + ds.labels.nbytes + 2**20
+
+
+@pytest.mark.parametrize("noise", [float("nan"), -1.0, float("inf")])
+def test_digits_reject_negative_or_non_finite_noise(noise):
+    with pytest.raises(ArgumentError, match="noise"):
+        ps.synthetic_digits(5, 0, noise=noise)
 
 
 def test_digits_nearest_centroid_beats_chance():

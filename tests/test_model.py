@@ -79,6 +79,40 @@ def test_spec_errors():
             ps.layer_names(ps.ModelSpec((1, 4, 4), 2, (bad, ps.flatten(), ps.fc(2))))
 
 
+@pytest.mark.parametrize("spec, match", [
+    (ps.ModelSpec((1, 4, 4), 2, (ps.conv(2, padding=1.5), ps.relu(), ps.flatten(), ps.fc(2))),
+     r"layer 0 \(conv\) padding must be an integer, got 1.5"),
+    (ps.ModelSpec((1, 4, 4), 2, (ps.conv(2, kernel=3.0), ps.relu(), ps.flatten(), ps.fc(2))),
+     r"layer 0 \(conv\) kernel must be an integer, got 3.0"),
+    (ps.ModelSpec((1, 4, 4), 2, (ps.conv(2, stride=True), ps.relu(), ps.flatten(), ps.fc(2))),
+     r"layer 0 \(conv\) stride must be an integer, got True"),
+    (ps.ModelSpec((1, 4, 4), 2, (ps.maxpool(2.0, 2), ps.flatten(), ps.fc(2))),
+     r"layer 0 \(maxpool\) window"),
+    (ps.ModelSpec((1, 4, 4), 2, (ps.flatten(), ps.fc(np.float64(2)))),
+     r"layer 1 \(fc\) out_features"),
+    (ps.ModelSpec((1, 4.0, 4), 2, (ps.flatten(), ps.fc(2))), "input shape entry"),
+    (ps.ModelSpec((1, 4, 4), 2.0, (ps.flatten(), ps.fc(2))), "num_classes"),
+])
+def test_spec_with_a_non_integer_field_is_a_spec_error(spec, match):
+    # each used to resolve, or to fail later with a bare TypeError
+    with pytest.raises(SpecError, match=match):
+        resolve(spec)
+    with pytest.raises(SpecError, match=match):
+        ps.build_model(spec, 0)
+
+
+def test_spec_accepts_numpy_integers(tmp_path):
+    spec = ps.ModelSpec((np.int64(1), 4, 4), np.int32(2),
+                        (ps.conv(np.int64(2), kernel=np.int16(3)), ps.relu(), ps.flatten(), ps.fc(2)))
+    assert resolve(spec)[-1].in_shape == (32,)
+    # and saves as the Python-int spec it loads as (json takes no numpy int)
+    weights = ps.build_model(spec, 0)
+    ps.save_model(weights, spec, tmp_path / "m.npsc")
+    loaded, _ = ps.load_model(tmp_path / "m.npsc")
+    assert loaded == spec
+    assert ps.model_digest(weights, spec) == hashlib.sha256((tmp_path / "m.npsc").read_bytes()).hexdigest()
+
+
 def test_resolve_is_kept_on_the_spec():
     spec = desk_spec()
     assert resolve(spec) is resolve(spec)
