@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, FormatError
+from .errors import ArgumentError, FormatError, require_int
 
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
@@ -104,7 +104,7 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 
 # Images quantized at a time by write_idx (its float buffer holds this many),
-# and digits drawn at a time by synthetic_digits.
+# and noiseless digits drawn at a time by synthetic_digits.
 _IDX_BLOCK = 256
 
 
@@ -140,6 +140,10 @@ def write_idx(dataset: Dataset, images_path, labels_path) -> None:
 
 def synthetic_blobs(n: int, classes: int = 10, image_hw: int = 28, seed: int = 0) -> Dataset:
     """Bright Gaussian blob at a class-specific grid location, plus noise."""
+    for value, what in ((n, "n"), (classes, "classes"), (image_hw, "image_hw")):
+        require_int(value, what, ArgumentError)
+    if classes < 2:
+        raise ArgumentError(f"need at least 2 classes, got {classes}")
     if n < classes:
         raise ArgumentError(f"need at least {classes} samples for {classes} classes")
     if classes > 12:
@@ -189,38 +193,6 @@ _DIGIT_SEGMENTS = {
 }
 
 
-def _digit_mask(digit: int, box_h: int, box_w: int, rng=None,
-                thickness_jitter: float = 0.0) -> np.ndarray:
-    """Binary segment mask; a nonzero thickness_jitter varies each segment's
-    cross-section by the given relative amount (one rng draw per segment)."""
-    mask = np.zeros((box_h, box_w), dtype=np.float32)
-    for seg in _DIGIT_SEGMENTS[digit]:
-        r0f, r1f, c0f, c1f = _SEGMENTS[seg]
-        if thickness_jitter > 0.0:
-            factor = rng.uniform(1.0 - thickness_jitter, 1.0 + thickness_jitter)
-            if r1f - r0f < 0.5:  # horizontal bar: vary its height
-                mid, half = (r0f + r1f) / 2, (r1f - r0f) / 2 * factor
-                r0f, r1f = max(mid - half, 0.0), min(mid + half, 1.0)
-            else:  # vertical bar: vary its width
-                mid, half = (c0f + c1f) / 2, (c1f - c0f) / 2 * factor
-                c0f, c1f = max(mid - half, 0.0), min(mid + half, 1.0)
-        r0 = int(round(r0f * box_h))
-        r1 = max(r0 + 1, int(round(r1f * box_h)))
-        c0 = int(round(c0f * box_w))
-        c1 = max(c0 + 1, int(round(c1f * box_w)))
-        mask[r0:min(r1, box_h), c0:min(c1, box_w)] = 1.0
-    return mask
-
-
-def _shear_rows(mask: np.ndarray, shear: float) -> np.ndarray:
-    """Shift each row horizontally by shear * (row - center), zero-filled."""
-    box_h, box_w = mask.shape
-    off = np.round(shear * (np.arange(box_h) - box_h / 2)).astype(np.int64)
-    src = np.arange(box_w) + off[:, None]  # out[r, c] = mask[r, c + off[r]]
-    inside = (src >= 0) & (src < box_w)
-    return np.take_along_axis(mask, np.clip(src, 0, box_w - 1), axis=1) * inside
-
-
 def synthetic_digits(
     n: int,
     seed: int = 0,
@@ -244,10 +216,13 @@ def synthetic_digits(
     Classes are shape-coded (not position-coded), so a digit is still
     recognizable after downscaling into a tile of a composite image.
 
-    Without noise, the digits are decoded from the random stream read a block
-    at a time (see _digits_read_ahead); they are the bytes that drawing them
-    one at a time (_digits_one_at_a_time) gives.
+    Every digit is decoded from PCG64 words read a block of _IDX_BLOCK digits
+    at a time (see _block_read_ahead), into the bytes that drawing it through
+    the Generator's uniform, integers and normal methods gives. With noise a
+    block is one digit, as each digit's noise follows its own draws.
     """
+    for value, what in ((n, "n"), (image_hw, "image_hw")):
+        require_int(value, what, ArgumentError)
     if n < 1:
         raise ArgumentError("need at least one sample")
     if not 0.0 <= small_fraction <= 1.0:
@@ -264,38 +239,23 @@ def synthetic_digits(
     rng = np.random.default_rng(seed)
     labels = (np.arange(n) % 10).astype(np.int64)
     rng.shuffle(labels)
-    state = rng.bit_generator.state
-    images = None if noise else _digits_read_ahead(rng, labels, image_hw, scale_range,
-                                                   small_fraction, small_range)
-    if images is None:  # noise, or a draw the stream cannot be decoded past
-        rng.bit_generator.state = state
-        images = _digits_one_at_a_time(rng, labels, image_hw, scale_range, noise,
-                                       small_fraction, small_range)
+    images = np.zeros((n, 1, image_hw, image_hw), dtype=np.float32)
+    buffered = _half_word(rng)
+    block = 1 if noise else _IDX_BLOCK
+    for start in range(0, n, block):
+        buffered = _block_read_ahead(rng, labels[start:start + block], images[start:start + block],
+                                     buffered, scale_range, small_fraction, small_range)
+        if noise:
+            img = images[start, 0]
+            np.clip(img + rng.normal(0.0, noise, img.shape).astype(np.float32), 0.0, 1.0, out=img)
     return Dataset(images, labels, 10)
 
 
-def _digits_one_at_a_time(rng, labels, image_hw, scale_range, noise,
-                          small_fraction, small_range) -> np.ndarray:
-    """The images drawn digit by digit through the Generator's methods."""
-    images = np.zeros((len(labels), 1, image_hw, image_hw), dtype=np.float32)
-    for i in range(len(labels)):
-        if small_fraction > 0.0 and rng.uniform() < small_fraction:
-            s = rng.uniform(small_range[0], small_range[1])
-        else:
-            s = rng.uniform(scale_range[0], scale_range[1])
-        box_h, box_w = _digit_box(s)
-        mask = _digit_mask(int(labels[i]), box_h, box_w, rng, _THICKNESS_JITTER)
-        mask = _shear_rows(mask, rng.uniform(-_SHEAR_MAX, _SHEAR_MAX))
-        top = (image_hw - box_h) // 2 + int(rng.integers(-_JITTER, _JITTER + 1))
-        top = min(max(top, 0), image_hw - box_h)
-        left = (image_hw - box_w) // 2 + int(rng.integers(-_JITTER, _JITTER + 1))
-        left = min(max(left, 0), image_hw - box_w)
-        img = images[i, 0]
-        img[top:top + box_h, left:left + box_w] = mask * rng.uniform(0.75, 1.0)
-        if noise > 0:
-            img += rng.normal(0.0, noise, img.shape).astype(np.float32)
-    np.clip(images, 0.0, 1.0, out=images)
-    return images
+def _half_word(rng) -> np.ndarray:
+    """The 32-bit half word that PCG64 holds for its next 32-bit draw, as an
+    array of zero or one draws."""
+    state = rng.bit_generator.state
+    return np.array([state["uinteger"]] if state["has_uint32"] else [], np.uint32)
 
 
 # _DIGIT_SEGMENTS as arrays: each digit's segment count, and its segments'
@@ -326,45 +286,46 @@ def _uniform(lo, hi, d):
     return lo + (hi - lo) * d
 
 
-def _digits_read_ahead(rng, labels, image_hw, scale_range, small_fraction,
-                       small_range) -> np.ndarray | None:
-    """_digits_one_at_a_time without noise, from the same PCG64 words read
-    _IDX_BLOCK digits at a time, or None where a jitter draw would be
-    rejected (about one in 10**9), as the words it takes are not known ahead.
+def _block_read_ahead(rng, labels, images, buffered, scale_range, small_fraction,
+                      small_range) -> np.ndarray:
+    """Draw the digits of `labels` into `images` from the PCG64 words that
+    drawing them one at a time through the Generator takes, read with one
+    random_raw call; returns the 32-bit half word left buffered after them.
 
-    Each digit takes, in the loop's order: its small-fraction double (only if
+    Each digit takes, in order: its small-fraction double (only if
     small_fraction > 0), scale, one thickness double per segment, shear, one
     word for its two jitter integers, and intensity. A double is
     (word >> 11) * 2**-53. The jitter integers are 32-bit halves, low half
-    first; a half the shuffle left buffered in the generator comes first of
-    all, so each digit's second integer and the next digit's first then share
-    a word.
+    first; the `buffered` half comes first of all, so each digit's second
+    integer and the next digit's first then share a word. A rejected jitter
+    draw (about one in 10**9) takes words that are not known ahead: then the
+    block is drawn again through the Generator's methods into the same slots.
     """
-    images = np.zeros((len(labels), 1, image_hw, image_hw), dtype=np.float32)
-    state = rng.bit_generator.state
-    buffered = np.array([state["uinteger"]] if state["has_uint32"] else [], np.uint32)
-    for start in range(0, len(labels), _IDX_BLOCK):
-        buffered = _block_read_ahead(rng, labels[start:start + _IDX_BLOCK],
-                                     images[start:start + _IDX_BLOCK], buffered,
-                                     scale_range, small_fraction, small_range)
-        if buffered is None:
-            return None
-    return images
-
-
-def _block_read_ahead(rng, labels, images, buffered, scale_range, small_fraction,
-                      small_range) -> np.ndarray | None:
-    """Draw the digits of `labels` into `images`; returns the 32-bit half
-    left buffered after them, or None where a jitter draw would be rejected."""
     image_hw = images.shape[-1]
     extra = int(small_fraction > 0.0)
     nseg = _SEG_COUNT[labels]
     end = np.cumsum(nseg + extra + 4)
     first = end - (nseg + extra + 4)
-    words = rng.bit_generator.random_raw(int(end[-1]))
-    d = (words >> 11) * 2.0**-53
     scale_at = first + extra
     after_segments = scale_at + 1 + nseg  # shear, jitter word, intensity
+    state = rng.bit_generator.state
+    words = rng.bit_generator.random_raw(int(end[-1]))
+    d = (words >> 11) * 2.0**-53
+    # each word's 32-bit halves, low half first
+    halves = words[after_segments + 1].astype("<u8", copy=False).view("<u4")
+    draws = np.concatenate([buffered, halves])
+    jitter, leftover = _jitter(draws[:2 * len(labels)]), draws[2 * len(labels):]
+    if jitter is None:
+        # buffered holds 0 or 1 halves, so its sum is the half or 0
+        rng.bit_generator.state = {**state, "has_uint32": len(buffered),
+                                   "uinteger": int(buffered.sum())}
+        jitter = []
+        for k, is_jitter in enumerate(np.isin(np.arange(len(d)), after_segments + 1)):
+            if is_jitter:
+                jitter += [rng.integers(-_JITTER, _JITTER + 1) for _ in range(2)]
+            else:
+                d[k] = rng.random()
+        jitter, leftover = np.array(jitter), _half_word(rng)
     s = _uniform(*scale_range, d[scale_at])
     if extra:
         s = np.where(d[first] < small_fraction, _uniform(*small_range, d[scale_at]), s)
@@ -373,12 +334,6 @@ def _block_read_ahead(rng, labels, images, buffered, scale_range, small_fraction
     thickness = np.take(d, scale_at[:, None] + 1 + np.arange(_SEG_BOX.shape[1]), mode="clip")
     bounds = _segment_bounds(labels, thickness, box_h, box_w)
     shear = _uniform(-_SHEAR_MAX, _SHEAR_MAX, d[after_segments])
-    # each word's 32-bit halves, low half first
-    halves = words[after_segments + 1].astype("<u8", copy=False).view("<u4")
-    draws = np.concatenate([buffered, halves])
-    jitter = _jitter(draws[:2 * len(labels)])
-    if jitter is None:
-        return None
     # (image_hw - box) // 2 as a shift: every box fits the image
     top = np.clip(((image_hw - box_h) >> 1) + jitter[0::2], 0, image_hw - box_h)
     left = np.clip(((image_hw - box_w) >> 1) + jitter[1::2], 0, image_hw - box_w)
@@ -387,12 +342,12 @@ def _block_read_ahead(rng, labels, images, buffered, scale_range, small_fraction
     for img, box, t, l, h, w in zip(images, boxes, *(
             a.tolist() for a in (top, left, box_h, box_w))):
         img[0, t:t + h, l:l + w] = box[:h, :w]
-    return draws[2 * len(labels):]
+    return leftover
 
 
 def _segment_bounds(labels, thickness, box_h, box_w):
-    """Pixel bounds r0, r1, c0, c1 of each [B, slots] segment as _digit_mask
-    draws it with `thickness` doubles: the jitter factor widens or narrows the
+    """Pixel bounds r0, r1, c0, c1 of each [B, slots] segment, drawn with
+    `thickness` doubles: the jitter factor widens or narrows the
     cross-section (a horizontal bar's rows, a vertical bar's columns), and
     each bound is rounded, at least one pixel wide and inside the box."""
     factor = _uniform(1.0 - _THICKNESS_JITTER, 1.0 + _THICKNESS_JITTER, thickness)
@@ -417,8 +372,8 @@ def _raster(r0, r1, c0, c1, shear, box_h, width) -> np.ndarray:
     """[B, max(box_h), width] bool boxes, set on each digit's sheared
     segments; only each digit's own [:box_h, :box_w] corner is its box.
 
-    Segments are the boxes [r0, r1) x [c0, c1) of each [B, slots] row;
-    _shear_rows shifts row r by round(shear * (r - box_h / 2)).
+    Segments are the boxes [r0, r1) x [c0, c1) of each [B, slots] row, and
+    row r is shifted left by round(shear * (r - box_h / 2)), zero-filled.
     """
     b, height = len(box_h), int(box_h.max())
     rows = np.arange(height)

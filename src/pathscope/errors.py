@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its integer check.
 
 The CLI maps these onto exit codes: input/format/argument problems give
 exit code 2, numerical failures give exit code 3.
 """
+
+import numpy as np
 
 
 class PathscopeError(Exception):
@@ -35,3 +37,11 @@ class NumericalError(PathscopeError):
 
 class UndefinedCorrelationError(PathscopeError):
     """Rank correlation is undefined (a vector is entirely tied)."""
+
+
+def require_int(value, what: str, error: type[PathscopeError]) -> None:
+    """Sizes are counted in whole pixels, units and samples: a float or a bool
+    raises `error` here, not a bare TypeError or a fractional shape later.
+    numpy integers are integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {value!r}")

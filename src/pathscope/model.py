@@ -21,7 +21,8 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from . import ops
-from .errors import ArgumentError, FormatError, NumericalError, ShapeError, SpecError
+from .errors import (ArgumentError, FormatError, NumericalError, ShapeError, SpecError,
+                     require_int)
 
 _MAGIC = b"NPSC"
 _VERSION = 1
@@ -91,19 +92,12 @@ def resolve(spec: ModelSpec) -> tuple[ResolvedLayer, ...]:
     return spec._resolved
 
 
-def _require_int(value, what: str) -> None:
-    """Geometry is counted in whole pixels and units: a float or a bool is a
-    SpecError here, not a bare TypeError or a fractional shape later."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise SpecError(f"{what} must be an integer, got {value!r}")
-
-
 def _resolve(spec: ModelSpec) -> tuple[ResolvedLayer, ...]:
     for d in spec.input_shape:
-        _require_int(d, "input shape entry")
+        require_int(d, "input shape entry", SpecError)
     if len(spec.input_shape) != 3 or any(d < 1 for d in spec.input_shape):
         raise SpecError(f"input shape must be [C,H,W] positive, got {spec.input_shape}")
-    _require_int(spec.num_classes, "num_classes")
+    require_int(spec.num_classes, "num_classes", SpecError)
     if spec.num_classes < 2:
         raise SpecError(f"need at least 2 classes, got {spec.num_classes}")
     counters = {"conv": 0, "maxpool": 0, "dropout": 0, "flatten": 0, "fc": 0, "relu": 0}
@@ -115,7 +109,7 @@ def _resolve(spec: ModelSpec) -> tuple[ResolvedLayer, ...]:
         k = layer.kind
         for f in _LAYER_FIELDS.get(k, ()):
             if _FIELD_TYPES[f] is int:
-                _require_int(getattr(layer, f), f"layer {i} ({k}) {f}")
+                require_int(getattr(layer, f), f"layer {i} ({k}) {f}", SpecError)
         if k == "conv":
             if len(shape) != 3:
                 raise SpecError(f"conv needs a [C,H,W] input, got {shape}")

@@ -218,9 +218,12 @@ def test_digit_box_may_fill_but_not_exceed_the_image():
 
 
 def test_digits_classes_distinguishable_by_shape():
-    from pathscope.data import _digit_mask
-
-    masks = [_digit_mask(d, 20, 12) for d in range(10)]
+    # every class in the nominal 20x12 box, unsheared, each segment at its
+    # nominal thickness (the double 0.5 draws a thickness factor of 1)
+    labels, box_h, box_w = np.arange(10), np.full(10, 20), np.full(10, 12)
+    thickness = np.full((10, data._SEG_BOX.shape[1]), 0.5)
+    bounds = data._segment_bounds(labels, thickness, box_h, box_w)
+    masks = data._raster(*bounds, np.zeros(10), box_h, 12)
     for a in range(10):
         for b in range(a + 1, 10):
             assert not np.array_equal(masks[a], masks[b]), (a, b)
@@ -318,23 +321,27 @@ def _shuffle_leaves_a_half_word(n, seed):
 
 
 @st.composite
-def digit_kwargs(draw):
+def digit_cases(draw):
+    """(n, kwargs). Noiseless blocks of _IDX_BLOCK digits split anywhere in
+    1..600; with noise every digit is a block of its own, and n <= 60."""
+    noise = draw(st.just(0.0) | st.floats(0.01, 0.3))
+    n = draw(st.integers(1, 60 if noise else 600))
     image_hw = draw(st.integers(12, 40))
     # any scale up to this draws a box that fits the image
     top = (image_hw - 0.5) / 20
     hi = draw(st.floats(0.05, top))
     small_hi = draw(st.floats(0.05, top))
-    return {"image_hw": image_hw, "scale_range": (draw(st.floats(0.05, hi)), hi),
-            "small_fraction": draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
-            "small_range": (draw(st.floats(0.05, small_hi)), small_hi)}
+    return n, {"image_hw": image_hw, "scale_range": (draw(st.floats(0.05, hi)), hi),
+               "small_fraction": draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+               "small_range": (draw(st.floats(0.05, small_hi)), small_hi), "noise": noise}
 
 
-@given(st.integers(1, 600), st.integers(0, 2**32 - 1), digit_kwargs())
-@example(300, 0, {"small_fraction": 0.15})  # the shuffle leaves a half word
-@example(300, 1, {"small_fraction": 0.15})  # and here none
+@given(digit_cases(), st.integers(0, 2**32 - 1))
+@example((300, {"small_fraction": 0.15}), 0)  # the shuffle leaves a half word
+@example((300, {"small_fraction": 0.15}), 1)  # and here none
 @settings(max_examples=40, deadline=None)
-def test_digits_read_ahead_equal_the_first_generator(n, seed, kwargs):
-    # blocks of _IDX_BLOCK digits split anywhere in 1..600
+def test_digits_read_ahead_equal_the_first_generator(case, seed):
+    n, kwargs = case
     ds = ps.synthetic_digits(n, seed, **kwargs)
     images, labels = synthetic_digits_oracle(n, seed, **kwargs)
     assert ds.images.tobytes() == images.tobytes()
@@ -368,8 +375,11 @@ def test_jitter_rejects_the_draws_integers_rejects(leftover):
     assert got == (data._jitter(next_low) if decoded is None else decoded)[0]
 
 
-@pytest.mark.parametrize("rejecting_block", [1, 2, 3])
-def test_a_rejected_jitter_draw_draws_every_digit_one_at_a_time(monkeypatch, rejecting_block):
+@pytest.mark.parametrize("n, kwargs, rejecting_block, blocks", [
+    *(pytest.param(600, {"small_fraction": 0.15}, k, 3, id=str(k)) for k in (1, 2, 3)),
+    pytest.param(20, {"noise": 0.1, "small_fraction": 0.5}, 7, 20, id="noise"),
+])
+def test_a_rejected_jitter_draw_redraws_its_block(monkeypatch, n, kwargs, rejecting_block, blocks):
     decode, calls = data._jitter, []
 
     def reject_once(draws):
@@ -377,17 +387,53 @@ def test_a_rejected_jitter_draw_draws_every_digit_one_at_a_time(monkeypatch, rej
         return None if len(calls) == rejecting_block else decode(draws)
 
     monkeypatch.setattr(data, "_jitter", reject_once)
-    ds = ps.synthetic_digits(600, 1, small_fraction=0.15)
-    images, labels = synthetic_digits_oracle(600, 1, small_fraction=0.15)
-    assert len(calls) == rejecting_block  # reading ahead stopped there
+    ds = ps.synthetic_digits(n, 1, **kwargs)
+    images, labels = synthetic_digits_oracle(n, 1, **kwargs)
+    assert len(calls) == blocks  # the blocks after it are still read ahead
     assert ds.images.tobytes() == images.tobytes()
     assert ds.labels.tobytes() == labels.tobytes()
 
 
+class _ShuffleLeavesZero(np.random.Generator):
+    """A Generator whose shuffle leaves PCG64 holding the half word 0. The
+    first jitter integer draws it, and 0 * span = 0 (mod 2**32) falls below
+    2**32 % span, so integers() really rejects it and draws again."""
+
+    def shuffle(self, x, axis=0):
+        super().shuffle(x, axis)
+        self.bit_generator.state = {**self.bit_generator.state, "has_uint32": 1, "uinteger": 0}
+
+
+@pytest.mark.parametrize("n, kwargs", [(300, {"small_fraction": 0.15}), (40, {"noise": 0.1}),
+                                       (5, {})])
+def test_a_genuinely_rejected_jitter_draw_equals_the_first_generator(monkeypatch, n, kwargs):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ShuffleLeavesZero(np.random.PCG64(seed)))
+    decode, rejected = data._jitter, []
+
+    def spy(draws):
+        out = decode(draws)
+        rejected.append(out is None)
+        return out
+
+    monkeypatch.setattr(data, "_jitter", spy)
+    ds = ps.synthetic_digits(n, 2, **kwargs)
+    images, labels = synthetic_digits_oracle(n, 2, **kwargs)
+    assert rejected[0] and not any(rejected[1:])
+    assert ds.images.tobytes() == images.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
+
+
+class _NoGeneratorDraws(np.random.Generator):
+    """A Generator without the methods that redraw a rejected block."""
+    random = integers = None
+
+
 def test_noiseless_digits_are_read_ahead(monkeypatch):
-    # the oracle comparisons above cover the read-ahead path, not the loop
-    monkeypatch.setattr(data, "_digits_one_at_a_time", None)
+    # the oracle comparisons above cover the read-ahead path, not the redraw;
+    # noisy digits too, a block of one each
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _NoGeneratorDraws(np.random.PCG64(seed)))
     assert len(ps.synthetic_digits(300, 0, small_fraction=0.15)) == 300
+    assert len(ps.synthetic_digits(30, 0, noise=0.1)) == 30
 
 
 def test_digits_hold_their_images_and_one_block():
@@ -400,6 +446,30 @@ def test_digits_hold_their_images_and_one_block():
 def test_digits_reject_negative_or_non_finite_noise(noise):
     with pytest.raises(ArgumentError, match="noise"):
         ps.synthetic_digits(5, 0, noise=noise)
+
+
+@pytest.mark.parametrize("make, kwargs, match", [
+    pytest.param(ps.synthetic_digits, {"n": 2.5}, "n must be an integer", id="digits-n-2.5"),
+    pytest.param(ps.synthetic_digits, {"n": True}, "n must be an integer", id="digits-n-True"),
+    pytest.param(ps.synthetic_digits, {"n": 5, "image_hw": 28.0}, "image_hw must be an integer",
+                 id="digits-image_hw-28.0"),
+    pytest.param(ps.synthetic_blobs, {"n": 12.0}, "n must be an integer", id="blobs-n-12.0"),
+    pytest.param(ps.synthetic_blobs, {"n": 12, "classes": True}, "classes must be an integer",
+                 id="blobs-classes-True"),
+    pytest.param(ps.synthetic_blobs, {"n": 12, "image_hw": 28.0}, "image_hw must be an integer",
+                 id="blobs-image_hw-28.0"),
+    pytest.param(ps.synthetic_blobs, {"n": 12, "classes": 0}, "at least 2 classes", id="blobs-classes-0"),
+    pytest.param(ps.synthetic_blobs, {"n": 12, "classes": 1}, "at least 2 classes", id="blobs-classes-1"),
+])
+def test_generators_take_integer_sizes_and_two_classes(make, kwargs, match):
+    with pytest.raises(ArgumentError, match=match):
+        make(**kwargs)
+
+
+def test_generators_accept_numpy_integer_sizes():
+    assert ps.synthetic_digits(np.int64(5), image_hw=np.int32(28)).images.shape == (5, 1, 28, 28)
+    blobs = ps.synthetic_blobs(np.int64(12), classes=np.int64(2), image_hw=np.int32(20))
+    assert blobs.images.shape == (12, 1, 20, 20) and blobs.num_classes == 2
 
 
 def test_digits_nearest_centroid_beats_chance():
